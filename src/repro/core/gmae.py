@@ -26,6 +26,42 @@ from ..graphs.graph import RelationGraph
 from ..nn import GATConv, Module, ModuleList, Parameter, SGCConv, init
 
 
+def _scratch(workspace: Optional[dict], name: str, shape: tuple,
+             dtype) -> np.ndarray:
+    """An uninitialised ``shape`` buffer, kept in ``workspace`` by name,
+    shape and dtype so the next call of the same scoring pass reuses its
+    (already mapped) memory; a fresh array when ``workspace`` is None."""
+    if workspace is None:
+        return np.empty(shape, dtype=dtype)
+    key = (name, tuple(shape), np.dtype(dtype))
+    buf = workspace.get(key)
+    if buf is None:
+        buf = workspace[key] = np.empty(shape, dtype=dtype)
+    return buf
+
+
+def _propagate(prop: sp.csr_matrix, dense: np.ndarray,
+               workspace: Optional[dict], name: str) -> np.ndarray:
+    """``prop @ dense`` into a :func:`_scratch` buffer.
+
+    Runs scipy's own CSR × dense kernel (the one ``prop @ dense`` calls)
+    on a zeroed output, so the accumulation order and bits are the same.
+    Falls back to the public path if the private kernel moves.
+    """
+    out = _scratch(workspace, name, (prop.shape[0], dense.shape[1]),
+                   np.result_type(prop.dtype, dense.dtype))
+    try:
+        from scipy.sparse import _sparsetools
+
+        out.fill(0)
+        _sparsetools.csr_matvecs(
+            prop.shape[0], prop.shape[1], dense.shape[1], prop.indptr,
+            prop.indices, prop.data, dense.ravel(), out.ravel())
+    except (ImportError, AttributeError):  # pragma: no cover - old scipy
+        out[...] = prop @ dense
+    return out
+
+
 class GMAE(Module):
     """Encoder/decoder pair with an optional learnable mask token.
 
@@ -114,7 +150,8 @@ class GMAE(Module):
     # Grad-free batched masked scoring
     # ------------------------------------------------------------------
     def impute_grouped(self, x: Tensor, graph: RelationGraph,
-                       groups: List[np.ndarray]) -> np.ndarray:
+                       groups: List[np.ndarray],
+                       workspace: Optional[dict] = None) -> np.ndarray:
         """Impute every node from ``g`` disjoint mask groups in one pass.
 
         Equivalent to running :meth:`forward` once per group with that
@@ -131,7 +168,11 @@ class GMAE(Module):
           ``g`` times on near-identical inputs;
         * the decoder's final propagation only evaluates the rows each
           copy actually contributes (its own mask group);
-        * nothing is recorded on the tape.
+        * nothing is recorded on the tape;
+        * the large stacked intermediates (hidden rows, propagated and
+          decoded features) are written into buffers kept in
+          ``workspace``, a dict the caller shares across the calls of one
+          scoring pass, instead of being allocated afresh by every call.
 
         Returns the assembled ``(n, f)`` imputation matrix (row ``i``
         reconstructed with its group masked). Inference-only: call under
@@ -153,7 +194,10 @@ class GMAE(Module):
         first = self.encoder[0]
         token = self.mask_token.data
         with_token = np.concatenate([base, token], axis=0) @ first.weight.data
-        hidden = np.tile(with_token[:n], (copies, 1))
+        width = with_token.shape[1]
+        hidden = _scratch(workspace, "hidden", (copies * n, width),
+                          with_token.dtype)
+        hidden.reshape(copies, n, width)[:] = with_token[:n]
         hidden[stacked_rows] = with_token[n]
 
         if self.kind == "gat":
@@ -179,19 +223,26 @@ class GMAE(Module):
             h = Tensor(hidden)
             for i, layer in enumerate(self.encoder):
                 if i == 0:
-                    for _ in range(first.propagation):
-                        h = Tensor(prop @ h.data)
+                    for hop in range(first.propagation):
+                        h = Tensor(_propagate(prop, h.data, workspace,
+                                              f"hop{hop % 2}"))
                     if first.bias is not None:
-                        h = Tensor(h.data + first.bias.data)
+                        bias = first.bias.data
+                        h = Tensor(np.add(h.data, bias, out=_scratch(
+                            workspace, "encoded", h.data.shape,
+                            np.result_type(h.data, bias))))
                 else:
                     h = layer(ops.elu(h), prop)
 
         # Decoder: full gemm + all-but-last full hops, then only the rows
         # each copy contributes (its mask group) through the final hop.
         prop = graph.block_propagator(copies)
-        decoded = h.data @ self.decoder.weight.data
-        for _ in range(self.decoder.propagation - 1):
-            decoded = prop @ decoded
+        weight = self.decoder.weight.data
+        decoded = np.matmul(h.data, weight, out=_scratch(
+            workspace, "decoded", (h.data.shape[0], weight.shape[1]),
+            np.result_type(h.data, weight)))
+        for hop in range(self.decoder.propagation - 1):
+            decoded = _propagate(prop, decoded, workspace, f"dec{hop % 2}")
         if self.decoder.propagation == 0:
             rows = decoded[stacked_rows]
         else:

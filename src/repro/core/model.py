@@ -384,7 +384,9 @@ class UMGAD(BaseDetector):
             # REPRO_DISABLE_FAST_SCORE escape hatch effective even when a
             # caller wraps scoring in their own no_grad().
             if fast_score_enabled() and not is_grad_enabled():
-                per_rel = [bank[r].impute_grouped(x, rel, groups)
+                workspace = (cache.setdefault("workspace", {})
+                             if cache is not None else None)
+                per_rel = [bank[r].impute_grouped(x, rel, groups, workspace)
                            for r, rel in enumerate(relations)]
             else:
                 per_rel = [np.zeros_like(graph.x) for _ in relations]
@@ -450,7 +452,8 @@ class UMGAD(BaseDetector):
         By default this runs the grad-free engine: the networks flip to
         eval mode, the whole pass sits under ``no_grad()`` (tape-free
         forwards, CSR attention kernels, stacked mask groups), identical
-        fused passes are shared through a per-call cache, and the sampled
+        fused passes are shared through a per-call cache (which also holds
+        the stacked mask groups' scratch buffers), and the sampled
         structure scorer takes its fast kernels. ``REPRO_DISABLE_FAST_SCORE=1``
         restores the sequential tape-recording path; both produce
         bit-identical scores (pinned by ``tests/fixtures/score_parity.json``

@@ -47,15 +47,29 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
+def _sigmoid_logits_inplace(dots: np.ndarray) -> None:
+    """``σ(LOGIT_SCALE · dots)`` written back into ``dots``.
+
+    The same elementwise steps as ``1 / (1 + exp(-LOGIT_SCALE · dots))``
+    (negating the scale negates the rounded product exactly), so the bits
+    match; the clamp of :func:`_sigmoid` is skipped because cosine logits
+    live in ``±LOGIT_SCALE``, far inside it.
+    """
+    np.multiply(dots, -LOGIT_SCALE, out=dots)
+    np.exp(dots, out=dots)
+    np.add(dots, 1.0, out=dots)
+    np.divide(1.0, dots, out=dots)
+
+
 @lru_cache(maxsize=4)
-def _query_rows(n: int, q: int) -> np.ndarray:
+def _query_rows(n: int, q: int, dtype: np.dtype) -> np.ndarray:
     """``repeat(arange(n), q)`` — the row index of every sampled pair.
 
     Identical across the many sampled-structure calls of one scoring pass
-    (3 views × R relations), so cache the few-MB array instead of
-    rebuilding it per call.
+    (3 views × R relations), so cache the few-MB array, already in the
+    adjacency's index dtype, instead of rebuilding it per call.
     """
-    return np.repeat(np.arange(n), q)
+    return np.repeat(np.arange(n, dtype=dtype), q)
 
 
 def _sample_adjacency(adj: sp.csr_matrix, rows: np.ndarray,
@@ -145,43 +159,68 @@ def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
     ``fast=True`` (the grad-free scoring engine) draws the identical
     negative sample and returns bit-identical errors through cheaper
     kernels: bincount scatter (same accumulation order as ``np.add.at``),
-    a clip-free sigmoid (the cosine logits live in ``±LOGIT_SCALE``, far
-    inside the clip range, so the clamp is the identity), and per-column
-    contractions into preallocated buffers that skip the ``(n, q, f)``
-    gather (verified bit-equal to the one-shot einsum).
+    one logit per undirected edge, a clip-free in-place sigmoid (the
+    cosine logits live in ``±LOGIT_SCALE``, far inside the clip range, so
+    the clamp is the identity), and blocked row contractions into two
+    reused ``(n, f)`` buffers that skip the ``(E, f)`` and ``(n, q, f)``
+    gathers (verified bit-equal to the one-shot einsum).
     """
     n = graph.num_nodes
     z = decoded / (np.linalg.norm(decoded, axis=1, keepdims=True) + 1e-12)
     adj = graph.adjacency()
 
     if fast:
-        if graph.num_edges:
-            src, dst = graph.directed_pairs()
-            logits = LOGIT_SCALE * np.einsum("ij,ij->i", z[src], z[dst])
-            per_edge = np.abs(1.0 / (1.0 + np.exp(-logits)) - 1.0)
-            pos_err = np.bincount(src, weights=per_edge, minlength=n)
-            deg = np.bincount(src, minlength=n).astype(np.float64)
-        else:
-            pos_err = np.zeros(n, dtype=np.float64)
-            deg = np.zeros(n, dtype=np.float64)
+        # Every row gather below writes into one of two preallocated (n, f)
+        # buffers, in blocks of at most n rows, instead of allocating
+        # (E, f) or (n, q, f) temporaries; each row's dot product is the
+        # same either way, so the bits match (tests/test_grad_mode.py).
+        # ``mode="clip"`` lets ``take`` write straight into ``out`` (the
+        # default "raise" buffers it). It never changes a value: negative
+        # samples are drawn in [0, n), and ``graph.adjacency()`` above has
+        # already rejected any edge endpoint outside [0, n).
+        left = np.empty_like(z)
+        right = np.empty_like(z)
 
+        # Both directions of an edge share one logit (the dot product
+        # commutes exactly), so evaluate each undirected edge once and
+        # feed the doubled weights to the same bincount over ``src``.
+        edges = graph.edges
+        per = np.empty(graph.num_edges, dtype=z.dtype)
+        for start in range(0, graph.num_edges, n):
+            block = edges[start:start + n]
+            m = block.shape[0]
+            np.take(z, block[:, 0], axis=0, out=left[:m], mode="clip")
+            np.take(z, block[:, 1], axis=0, out=right[:m], mode="clip")
+            np.einsum("ij,ij->i", left[:m], right[:m],
+                      out=per[start:start + m])
+        _sigmoid_logits_inplace(per)
+        np.subtract(per, 1.0, out=per)
+        np.abs(per, out=per)
+        src, _ = graph.directed_pairs()
+        pos_err = np.bincount(src, weights=np.concatenate([per, per]),
+                              minlength=n)
+
+        # Negatives column by column, into a (q, n) logit buffer.
         neg_idx = rng.integers(0, n, size=(n, negatives_per_node))
-        # Column-at-a-time contraction: skips materialising the (n, q, f)
-        # gather, which is the hot allocation of the one-shot einsum, and
-        # is verified bit-equal to it (tests/test_grad_mode.py).
-        gathered = np.empty_like(z)
-        neg_pred = np.empty((n, negatives_per_node), dtype=z.dtype)
+        neg_cols = np.ascontiguousarray(neg_idx.T)
+        logits = np.empty((negatives_per_node, n), dtype=z.dtype)
         for k in range(negatives_per_node):
-            np.take(z, neg_idx[:, k], axis=0, out=gathered)
-            col = LOGIT_SCALE * np.einsum("ij,ij->i", z, gathered)
-            neg_pred[:, k] = 1.0 / (1.0 + np.exp(-col))
-        rows = _query_rows(n, negatives_per_node)
+            np.take(z, neg_cols[k], axis=0, out=left, mode="clip")
+            np.einsum("ij,ij->i", z, left, out=logits[k])
+        _sigmoid_logits_inplace(logits)
+        rows = _query_rows(n, negatives_per_node, adj.indices.dtype)
         is_edge = _sample_adjacency(adj, rows, neg_idx.ravel()).reshape(
             n, negatives_per_node)
-        neg_err = np.abs(neg_pred - is_edge).sum(axis=1)
+        # back to (n, q), in the promoted dtype of ``pred - is_edge``, so
+        # the row sums keep their reduction order
+        neg_pred = logits.T.astype(np.result_type(logits, is_edge),
+                                   order="C")
+        np.subtract(neg_pred, is_edge, out=neg_pred)
+        np.abs(neg_pred, out=neg_pred)
+        neg_err = neg_pred.sum(axis=1)
 
         total = pos_err + neg_err
-        count = deg + negatives_per_node
+        count = graph.degrees() + float(negatives_per_node)
         return total / count
 
     pos_err = np.zeros(n, dtype=np.float64)

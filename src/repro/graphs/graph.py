@@ -22,23 +22,33 @@ from ..obs.trace import span
 class GATScatter:
     """Pre-sorted edge structure for the grad-free GAT inference kernel.
 
-    ``src``/``dst`` list every directed edge of ``copies`` stacked graph
-    copies (plus per-copy self-loops when requested), in the exact order
-    the recording GAT forward would process them. ``perm`` stably sorts
-    those edges by destination, and ``indptr``/``indices`` describe the
-    resulting CSR row structure (row = destination node), whose per-row
-    stored order therefore matches the scatter-add accumulation order of
-    the recording path — the attention-weighted message reduction can run
-    as one CSR × dense product with bit-identical results.
+    Lists every directed edge of ``copies`` stacked graph copies (plus
+    per-copy self-loops when requested) in CSR form over destinations:
+    the edges in the exact order the recording GAT forward would process
+    them, stably sorted by destination. Each row's stored order therefore
+    matches the scatter-add accumulation order of the recording path, so
+    the attention-weighted message reduction can run as one CSR × dense
+    product with bit-identical results.
     """
 
-    src: np.ndarray         # (E,) directed sources, recording order
-    dst: np.ndarray         # (E,) directed destinations, recording order
-    perm: np.ndarray        # (E,) stable argsort of dst
     indptr: np.ndarray      # (copies * n + 1,) CSR row pointers over dst
-    indices: np.ndarray     # (E,) == src[perm]
-    dst_sorted: np.ndarray  # (E,) == dst[perm]; monotone, cache-friendly
+    indices: np.ndarray     # (E,) sources, destination-sorted
+    dst_sorted: np.ndarray  # (E,) destinations; monotone, cache-friendly
     num_nodes: int          # copies * n
+
+
+def _tile(values: np.ndarray, copies: int, step: int) -> np.ndarray:
+    """``copies`` back-to-back copies of ``values``, copy ``k`` shifted by
+    ``k · step``, in ``values``' dtype."""
+    offsets = np.arange(copies, dtype=values.dtype) * step
+    return (values[None, :] + offsets[:, None]).reshape(-1)
+
+
+def _tile_indptr(indptr: np.ndarray, copies: int) -> np.ndarray:
+    """Row pointers of ``copies`` diagonal copies of one CSR block."""
+    nnz = indptr[-1:]
+    return np.concatenate([_tile(indptr[:-1], copies, int(nnz[0])),
+                           nnz * copies])
 
 
 def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -174,9 +184,9 @@ class RelationGraph:
         a masked evaluation as one stacked ``(g·n, f)`` forward; this is
         the matching ``(g·n, g·n)`` propagation operator, built and cached
         once per ``(copies, add_self_loops)`` alongside the other operator
-        caches. Each block's CSR rows are byte-identical to the single-copy
-        propagator's, so one wide spmm reproduces ``g`` narrow ones
-        bitwise.
+        caches. It is tiled from the single-copy propagator's arrays, so
+        each block's CSR rows are byte-identical to it and one wide spmm
+        reproduces ``g`` narrow ones bitwise.
         """
         if copies == 1:
             return self.sym_propagator(add_self_loops)
@@ -187,7 +197,19 @@ class RelationGraph:
                 sp_.set("relation", self.name)
                 sp_.set("copies", int(copies))
                 base = self.sym_propagator(add_self_loops)
-                prop = sp.block_diag([base] * int(copies), format="csr")
+                copies = int(copies)
+                n = self.num_nodes
+                indptr, indices = base.indptr, base.indices
+                # the tiled offsets must still fit the index dtype
+                if max(n, base.nnz) * copies > np.iinfo(indices.dtype).max:
+                    indptr = indptr.astype(np.int64)
+                    indices = indices.astype(np.int64)
+                prop = sp.csr_matrix(
+                    (np.tile(base.data, copies), _tile(indices, copies, n),
+                     _tile_indptr(indptr, copies)),
+                    shape=(copies * n, copies * n))
+                prop.has_sorted_indices = base.has_sorted_indices
+                prop.has_canonical_format = base.has_canonical_format
                 prop._spmm_transpose = prop   # block-diag of symmetric blocks
                 self._block_props[key] = prop
         return self._block_props[key]
@@ -200,7 +222,8 @@ class RelationGraph:
         would produce per destination: every copy's directed edges keep
         their relative order and its self-loop comes last, so the fast
         kernel's per-segment accumulation order — and hence its bits —
-        equal the scatter-add path's.
+        equal the scatter-add path's. More than one copy is tiled from the
+        cached single-copy scatter.
         """
         key = (int(copies), bool(add_self_loops))
         scatter = self._gat_scatters.get(key)
@@ -210,21 +233,28 @@ class RelationGraph:
                 sp_.set("relation", self.name)
                 sp_.set("copies", int(copies))
                 n = self.num_nodes
-                src1, dst1 = self.directed_pairs()
-                offsets = np.arange(int(copies), dtype=np.int64) * n
-                src = (src1[None, :] + offsets[:, None]).reshape(-1)
-                dst = (dst1[None, :] + offsets[:, None]).reshape(-1)
-                if add_self_loops:
-                    loops = np.arange(int(copies) * n, dtype=np.int64)
-                    src = np.concatenate([src, loops])
-                    dst = np.concatenate([dst, loops])
-                total = int(copies) * n
-                perm = np.argsort(dst, kind="stable")
-                indptr = np.zeros(total + 1, dtype=np.int64)
-                np.cumsum(np.bincount(dst, minlength=total), out=indptr[1:])
-                scatter = GATScatter(src=src, dst=dst, perm=perm,
-                                     indptr=indptr, indices=src[perm],
-                                     dst_sorted=dst[perm], num_nodes=total)
+                copies = int(copies)
+                if copies == 1:
+                    src, dst = self.directed_pairs()
+                    if add_self_loops:
+                        loops = np.arange(n, dtype=np.int64)
+                        src = np.concatenate([src, loops])
+                        dst = np.concatenate([dst, loops])
+                    perm = np.argsort(dst, kind="stable")
+                    indptr = np.zeros(n + 1, dtype=np.int64)
+                    np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+                    scatter = GATScatter(indptr=indptr, indices=src[perm],
+                                         dst_sorted=dst[perm], num_nodes=n)
+                else:
+                    # Copies occupy disjoint destination ranges, so the
+                    # stable sort of the stacked edge list is the
+                    # single-copy order tiled block by block.
+                    base = self.gat_scatter(1, add_self_loops)
+                    scatter = GATScatter(
+                        indptr=_tile_indptr(base.indptr, copies),
+                        indices=_tile(base.indices, copies, n),
+                        dst_sorted=_tile(base.dst_sorted, copies, n),
+                        num_nodes=copies * n)
                 self._gat_scatters[key] = scatter
         return scatter
 
@@ -255,9 +285,7 @@ class RelationGraph:
             total += _csr_bytes(prop)
         for scatter in self._gat_scatters.values():
             entries += 1
-            total += int(scatter.src.nbytes + scatter.dst.nbytes
-                         + scatter.perm.nbytes + scatter.indptr.nbytes
-                         + scatter.indices.nbytes
+            total += int(scatter.indptr.nbytes + scatter.indices.nbytes
                          + scatter.dst_sorted.nbytes)
         if self._degrees is not None:
             entries += 1

@@ -283,10 +283,85 @@ class TestGATInferenceKernelParity:
         s1 = graph.gat_scatter(2, True)
         assert graph.gat_scatter(2, True) is s1
         assert s1.num_nodes == 40
-        # loops included, both directions of every edge, per copy
-        assert s1.src.size == 2 * (2 * graph.num_edges) + 40
-        assert np.array_equal(s1.indices, s1.src[s1.perm])
-        assert s1.indptr[-1] == s1.src.size
+        # CSR over destinations of the recording edge order: both
+        # directions of every edge per copy, then every copy's self-loop,
+        # stably sorted by destination
+        src, dst = _recording_edges(graph, 2, True)
+        assert src.size == 2 * (2 * graph.num_edges) + 40
+        perm = np.argsort(dst, kind="stable")
+        assert np.array_equal(s1.indices, src[perm])
+        assert np.array_equal(s1.dst_sorted, dst[perm])
+        assert np.array_equal(np.diff(s1.indptr),
+                              np.bincount(dst, minlength=40))
+        assert s1.indptr[-1] == src.size
+
+
+def _recording_edges(graph, copies, add_self_loops):
+    """Directed (src, dst) of ``copies`` stacked graph copies in the order
+    ``copies`` sequential recording GAT forwards would scatter them."""
+    n = graph.num_nodes
+    src1, dst1 = graph.directed_pairs()
+    offsets = np.arange(copies, dtype=np.int64) * n
+    src = (src1[None, :] + offsets[:, None]).reshape(-1)
+    dst = (dst1[None, :] + offsets[:, None]).reshape(-1)
+    if add_self_loops:
+        loops = np.arange(copies * n, dtype=np.int64)
+        src = np.concatenate([src, loops])
+        dst = np.concatenate([dst, loops])
+    return src, dst
+
+
+def _isolated_graph(rng):
+    # nodes 30..39 carry no edge
+    edges = rng.integers(0, 30, size=(45, 2))
+    return RelationGraph(40, edges)
+
+
+class TestTiledOperators:
+    """Stacked operators tiled from the single-copy ones equal the
+    reference constructions array for array, dtypes included."""
+
+    GRAPHS = {
+        "random": lambda rng: _graph(rng, n=35),
+        "edgeless": lambda rng: RelationGraph(
+            25, np.empty((0, 2), dtype=np.int64)),
+        "isolated": _isolated_graph,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GRAPHS))
+    @pytest.mark.parametrize("copies", [2, 3, 5])
+    @pytest.mark.parametrize("loops", [True, False])
+    def test_block_propagator_equals_block_diag(self, kind, copies, loops):
+        import scipy.sparse as sp
+
+        graph = self.GRAPHS[kind](np.random.default_rng(15))
+        tiled = graph.block_propagator(copies, loops)
+        ref = sp.block_diag([graph.sym_propagator(loops)] * copies,
+                            format="csr")
+        assert tiled.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(tiled, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert tiled.has_sorted_indices == ref.has_sorted_indices
+
+    @pytest.mark.parametrize("kind", sorted(GRAPHS))
+    @pytest.mark.parametrize("copies", [2, 3, 5])
+    @pytest.mark.parametrize("loops", [True, False])
+    def test_gat_scatter_equals_stable_argsort(self, kind, copies, loops):
+        graph = self.GRAPHS[kind](np.random.default_rng(16))
+        scatter = graph.gat_scatter(copies, loops)
+        src, dst = _recording_edges(graph, copies, loops)
+        total = copies * graph.num_nodes
+        perm = np.argsort(dst, kind="stable")
+        indptr = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=total), out=indptr[1:])
+        assert scatter.num_nodes == total
+        for got, want in ((scatter.indptr, indptr),
+                          (scatter.indices, src[perm]),
+                          (scatter.dst_sorted, dst[perm])):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestImputeGroupedParity:
@@ -312,6 +387,38 @@ class TestImputeGroupedParity:
                 expected[group] = rec[group]
             batched = gmae.impute_grouped(x, graph, groups)
         assert np.array_equal(batched, expected)
+
+    @pytest.mark.parametrize("kind,layers,dec_prop", [
+        ("gat", 1, 1), ("gat", 2, 1), ("sgc", 1, 1), ("sgc", 2, 3),
+    ])
+    def test_shared_workspace_matches_sequential(self, kind, layers,
+                                                 dec_prop):
+        # one workspace across the calls of a pass: every call still
+        # matches its sequential forwards, and no result aliases a buffer
+        # a later call overwrites
+        rng = np.random.default_rng(24)
+        graph = _graph(rng, n=40)
+        banks = [self._model_bank(rng, kind, layers, dec_prop)
+                 for _ in range(2)]
+        x = tensor(rng.normal(size=(40, 10)))
+        groups = [g for g in np.array_split(rng.permutation(40), 3)
+                  if g.size]
+        workspace = {}
+        with no_grad():
+            expected = []
+            for gmae in banks:
+                rows = np.zeros((40, 10))
+                for group in groups:
+                    rec = gmae.forward(x, graph, masked_nodes=group).data
+                    rows[group] = rec[group]
+                expected.append(rows)
+            first = [gmae.impute_grouped(x, graph, groups, workspace)
+                     for gmae in banks]
+            buffers = len(workspace)
+            again = banks[0].impute_grouped(x, graph, groups, workspace)
+        assert buffers and len(workspace) == buffers
+        for got, want in zip(first + [again], expected + expected[:1]):
+            assert np.array_equal(got, want)
 
     def test_multi_head_gat_matches_sequential(self):
         rng = np.random.default_rng(23)
@@ -356,6 +463,56 @@ class TestStructureScorerParity:
         fast = structure_errors_sampled(
             decoded, graph, np.random.default_rng(5), fast=True)
         assert np.array_equal(legacy, fast)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("avg_degree", [0.5, 3.0, 12.0, 40.0])
+    def test_fast_matches_legacy_densities_and_dtypes(self, dtype,
+                                                      avg_degree):
+        rng = np.random.default_rng(32)
+        graph = _graph(rng, n=150, avg_degree=avg_degree)
+        decoded = rng.normal(size=(150, 11)).astype(dtype)
+        legacy = structure_errors_sampled(
+            decoded, graph, np.random.default_rng(6), negatives_per_node=12)
+        fast = structure_errors_sampled(
+            decoded, graph, np.random.default_rng(6), negatives_per_node=12,
+            fast=True)
+        assert np.array_equal(legacy, fast)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fast_matches_legacy_isolated_nodes(self, dtype):
+        rng = np.random.default_rng(33)
+        graph = _isolated_graph(rng)
+        assert np.count_nonzero(graph.degrees() == 0) >= 10
+        decoded = rng.normal(size=(40, 6)).astype(dtype)
+        legacy = structure_errors_sampled(
+            decoded, graph, np.random.default_rng(7))
+        fast = structure_errors_sampled(
+            decoded, graph, np.random.default_rng(7), fast=True)
+        assert np.array_equal(legacy, fast)
+
+    def test_fast_matches_legacy_fewer_nodes_than_negatives(self):
+        rng = np.random.default_rng(34)
+        graph = _graph(rng, n=8, avg_degree=3.0)
+        decoded = rng.normal(size=(8, 4))
+        legacy = structure_errors_sampled(
+            decoded, graph, np.random.default_rng(8), negatives_per_node=20)
+        fast = structure_errors_sampled(
+            decoded, graph, np.random.default_rng(8), negatives_per_node=20,
+            fast=True)
+        assert np.array_equal(legacy, fast)
+
+    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("bad", [12, -1])
+    def test_out_of_range_endpoint_raises(self, fast, bad):
+        # validated=True skips canonicalisation, so the bad endpoint
+        # reaches the scorer: building the adjacency must reject it before
+        # any gather could clamp it
+        graph = RelationGraph(10, np.array([[0, 3], [2, bad]]),
+                              validated=True)
+        decoded = np.random.default_rng(9).normal(size=(10, 4))
+        with pytest.raises(ValueError):
+            structure_errors_sampled(decoded, graph,
+                                     np.random.default_rng(10), fast=fast)
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,22 @@ class TestServeBench:
         assert payload["cache"]["hits"] == 3
         assert "hit_rate" in result.render() or "cache" in result.render()
 
+    def test_cold_label_names_what_answered(self, checkpoint, tiny_dataset):
+        # the checkpoint's own training graph: stored fit scores answer
+        trained = run_serve_bench(checkpoint, tiny_dataset.graph, requests=1)
+        assert trained.cold_from_stored
+        assert trained.to_dict()["cold_from_stored"] is True
+        assert "stored fit scores" in trained.render()
+        assert "full scoring pass" not in trained.render()
+        # an unseen graph: the first request runs a real scoring pass
+        unseen = random_multiplex(40, tiny_dataset.graph.num_relations,
+                                  tiny_dataset.graph.num_features,
+                                  np.random.default_rng(3), avg_degree=3.0)
+        fresh = run_serve_bench(checkpoint, unseen, requests=1)
+        assert not fresh.cold_from_stored
+        assert "full scoring pass" in fresh.render()
+        assert "stored fit scores" not in fresh.render()
+
     def test_rejects_zero_requests(self, checkpoint, tiny_dataset):
         with pytest.raises(ValueError, match="requests"):
             run_serve_bench(checkpoint, tiny_dataset.graph, requests=0)
