@@ -48,6 +48,7 @@ from ..graphs.masking import attribute_mask, attribute_swap, edge_mask, subgraph
 from ..graphs.multiplex import MultiplexGraph
 from ..nn import Adam, Module, ModuleList, Parameter, init
 from ..obs.trace import span
+from ..utils.blas import single_threaded_blas
 from ..utils.rng import ensure_rng
 from ..utils.timer import Timer
 from .config import UMGADConfig
@@ -470,7 +471,8 @@ class UMGAD(BaseDetector):
         was_training = nets.training
         nets.eval()
         try:
-            with (no_grad() if fast else nullcontext()):
+            with (no_grad() if fast else nullcontext()), \
+                    single_threaded_blas():
                 if cfg.use_original and cfg.mode != "sub":
                     with span("score.view") as sp:
                         sp.set("view", "original")

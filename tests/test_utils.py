@@ -49,3 +49,72 @@ class TestTimer:
             with timer.measure("op"):
                 raise RuntimeError("boom")
         assert timer.count("op") == 1
+
+
+def _blas_threads():
+    from repro.utils import blas
+    return [getter() for _, getter in blas._controls]
+
+
+@pytest.fixture
+def openblas():
+    """The loaded OpenBLAS thread controls; skips where there are none."""
+    from repro.utils import blas
+    with blas.single_threaded_blas():
+        pass
+    if not blas._controls:
+        pytest.skip("no OpenBLAS thread-count entry point loaded")
+    before = _blas_threads()
+    yield before
+    assert _blas_threads() == before
+
+
+class TestSingleThreadedBlas:
+    def test_limits_then_restores(self, openblas):
+        from repro.utils.blas import single_threaded_blas
+        with single_threaded_blas():
+            assert _blas_threads() == [1] * len(openblas)
+            with single_threaded_blas():
+                assert _blas_threads() == [1] * len(openblas)
+            assert _blas_threads() == [1] * len(openblas)
+        assert _blas_threads() == openblas
+
+    def test_overlapping_blocks_restore_once_the_last_leaves(self, openblas):
+        # concurrent callers leave in any order, not only LIFO
+        from repro.utils.blas import single_threaded_blas
+        first, second = single_threaded_blas(), single_threaded_blas()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert _blas_threads() == [1] * len(openblas)
+        second.__exit__(None, None, None)
+        assert _blas_threads() == openblas
+
+    def test_restores_after_an_exception(self, openblas):
+        from repro.utils.blas import single_threaded_blas
+        with pytest.raises(RuntimeError):
+            with single_threaded_blas():
+                raise RuntimeError("boom")
+        assert _blas_threads() == openblas
+
+    def test_scoring_pass_runs_single_threaded(self, openblas, monkeypatch):
+        import repro.core.model as model_mod
+        from repro.core import UMGAD, UMGADConfig
+        from repro.graphs import random_multiplex
+
+        graph = random_multiplex(60, 2, 8, np.random.default_rng(0),
+                                 avg_degree=3.0)
+        model = UMGAD(UMGADConfig(epochs=1, seed=0)).fit(graph)
+        seen = []
+        combine = model_mod.combine_view_score
+
+        def spy(*args, **kwargs):
+            seen.append(_blas_threads())
+            return combine(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "combine_view_score", spy)
+        model.score_graph(random_multiplex(50, 2, 8,
+                                           np.random.default_rng(1),
+                                           avg_degree=3.0))
+        assert seen and all(t == [1] * len(openblas) for t in seen)
+        assert _blas_threads() == openblas
