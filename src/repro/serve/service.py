@@ -79,9 +79,12 @@ class ServiceStats:
 
 @dataclass
 class _CacheEntry:
-    """Everything derived for one graph, computed lazily on demand."""
+    """Everything derived for one graph, computed lazily on demand.
 
-    graph: MultiplexGraph
+    Not the graph itself: it and its operator caches are freed once the
+    caller drops it, unless an explainer (which keeps it) was built.
+    """
+
     fingerprint: str
     scores: np.ndarray
     threshold: Optional[object] = None          # ThresholdResult
@@ -291,8 +294,7 @@ class DetectorService:
                 self._inflight.pop(fingerprint, None)
             waiter.done.set()
             raise
-        entry = _CacheEntry(graph=graph, fingerprint=fingerprint,
-                            scores=scores)
+        entry = _CacheEntry(fingerprint=fingerprint, scores=scores)
         with self._lock:
             self.stats.misses += 1
             if self._generation == generation:
@@ -311,8 +313,7 @@ class DetectorService:
         with self._lock:
             self._cache.clear()
 
-    def seed_cache(self, graph: MultiplexGraph, fingerprint: str,
-                   scores: np.ndarray) -> None:
+    def seed_cache(self, fingerprint: str, scores: np.ndarray) -> None:
         """Insert an externally computed result without a scoring pass.
 
         The process tier uses this: a worker process scored the batch,
@@ -322,8 +323,7 @@ class DetectorService:
         it here. Does not count as a hit or a miss — the pool records
         its own dispatch telemetry.
         """
-        entry = _CacheEntry(graph=graph, fingerprint=fingerprint,
-                            scores=scores)
+        entry = _CacheEntry(fingerprint=fingerprint, scores=scores)
         with self._lock:
             self._cache[fingerprint] = entry
             self._cache.move_to_end(fingerprint)
@@ -338,10 +338,9 @@ class DetectorService:
     def cache_info(self) -> dict:
         """Occupancy of the result cache, for telemetry.
 
-        ``bytes`` counts the numpy payloads retained per entry (scores,
-        ranking order, and the cached graph's attribute matrix, edge
-        lists, and lazily-built relation operator caches) — the memory the
-        LRU actually pins.
+        ``bytes`` counts the scores and, once a ``top_k`` built it, the
+        ranking order of each entry. An explained entry also pins its
+        explainer and the graph it holds; those are not counted.
         """
         with self._lock:
             entries = len(self._cache)
@@ -350,11 +349,6 @@ class DetectorService:
                 total += int(entry.scores.nbytes)
                 if entry.order is not None:
                     total += int(entry.order.nbytes)
-                graph = entry.graph
-                total += int(graph.x.nbytes)
-                for _name, relation in graph:
-                    total += int(relation.edges.nbytes)
-                    total += relation.cache_info()["bytes"]
             return {
                 "entries": entries,
                 "capacity": self.cache_size,

@@ -108,7 +108,14 @@ class ServerHandler(BaseHTTPRequestHandler):
             if started is not None else None)
 
     def _send_json(self, status: int, payload: dict, endpoint: str) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        try:
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        except ValueError as exc:
+            # NaN/Infinity have no JSON spelling; answer a valid 500
+            # rather than a body strict parsers reject.
+            status = 500
+            body = json.dumps({"error": f"internal error: {exc}"}).encode(
+                "utf-8")
         self._send(status, body, "application/json", endpoint)
 
     def _send_error_json(self, status: int, message: str,

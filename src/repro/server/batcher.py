@@ -441,8 +441,7 @@ class MicroBatcher:
                     sp.set("exec_tier", "process")
                     scores = self.executor.score(group.graph,
                                                  group.fingerprint)
-                    self.service.seed_cache(group.graph, group.fingerprint,
-                                            scores)
+                    self.service.seed_cache(group.fingerprint, scores)
                 else:
                     if self.executor is not None:
                         sp.set("exec_tier", "thread")

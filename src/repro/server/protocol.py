@@ -52,6 +52,13 @@ def graph_from_payload(payload: dict) -> MultiplexGraph:
     if attrs.ndim != 2 or attrs.shape[0] < 1:
         raise ProtocolError(
             f"'x' must be a non-empty 2-D matrix, got shape {attrs.shape}")
+    finite = np.isfinite(attrs)
+    if not finite.all():
+        # One NaN attribute turns every score into NaN, so reject it here.
+        row, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise ProtocolError(
+            f"'x' has a non-finite value ({float(attrs[row, col])}) at row "
+            f"{row}, column {col}")
     num_nodes = attrs.shape[0]
     edge_dict: Dict[str, np.ndarray] = {}
     for name, edges in relations.items():

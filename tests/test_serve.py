@@ -1,6 +1,9 @@
 """Model persistence + serving subsystem (repro.serve)."""
 
+import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -377,6 +380,64 @@ class TestDetectorService:
                                       replacement.decision_scores())
         with pytest.raises(TypeError, match="BaseDetector"):
             service.replace_detector("not a detector")
+
+
+class TestServiceCacheFootprint:
+    """The LRU pins scores, not the graphs they were computed from."""
+
+    @staticmethod
+    def _graph(seed=5):
+        return random_multiplex(30, 3, 16, np.random.default_rng(seed))
+
+    def test_scored_graph_freed_after_miss(self, fitted_umgad):
+        service = DetectorService(fitted_umgad)
+        graph = self._graph()
+        ref = weakref.ref(graph)
+        service.scores(graph)
+        del graph
+        gc.collect()
+        assert ref() is None
+        assert len(service) == 1
+
+    def test_seeded_graph_freed(self, fitted_umgad):
+        service = DetectorService(fitted_umgad)
+        graph = self._graph()
+        ref = weakref.ref(graph)
+        fingerprint = graph_fingerprint(graph)
+        scores = fitted_umgad.score_graph(graph)
+        service.seed_cache(fingerprint, scores)
+        del graph
+        gc.collect()
+        assert ref() is None
+        assert service.cached_scores(fingerprint) is scores
+
+    def test_caller_relations_keep_operator_caches(self, fitted_umgad):
+        service = DetectorService(fitted_umgad)
+        graph = self._graph()
+        service.scores(graph)
+        for _name, relation in graph:
+            assert relation.cache_info()["entries"] > 0
+
+    def test_cache_hit_answers_match_fresh_service(self, checkpoint):
+        # Each service loads its own detector: explanations draw on the
+        # detector's RNG, so the two must start from the same state.
+        warm = DetectorService(checkpoint)
+        warm.scores(self._graph())
+        graph = self._graph()  # same content, a new object: a cache hit
+        top = warm.top_k(graph, 5)
+        threshold = warm.threshold(graph)
+        flags = warm.predict(graph)
+        explanation = warm.explain(graph, top[0][0])
+        assert warm.stats.misses == 1 and warm.stats.hits == 4
+
+        fresh = DetectorService(checkpoint)
+        other = self._graph()
+        assert np.array_equal(top, fresh.top_k(other, 5))
+        assert np.array_equal(threshold.threshold,
+                              fresh.threshold(other).threshold)
+        assert np.array_equal(flags, fresh.predict(other))
+        assert dataclasses.asdict(explanation) == \
+            dataclasses.asdict(fresh.explain(other, top[0][0]))
 
 
 class TestModelRegistry:

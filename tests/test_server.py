@@ -84,6 +84,13 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             graph_from_payload(payload)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_attribute_names_row_and_column(self, bad):
+        x = [[0.0, 1.0, 2.0] for _ in range(4)]
+        x[2][1] = bad
+        with pytest.raises(ProtocolError, match="row 2, column 1"):
+            graph_from_payload({"x": x, "relations": {"a": [[0, 1]]}})
+
     def test_empty_edge_list_is_a_valid_relation(self):
         graph = graph_from_payload(
             {"x": [[1.0], [2.0]], "relations": {"a": [[0, 1]], "b": []}})
@@ -543,6 +550,48 @@ class TestOverloadAndShutdown:
                 assert excinfo.value.status == 503
                 # non-scoring endpoints still answer while draining
                 assert client.health()["status"] == "ok"
+
+
+class TestNonFiniteValues:
+    def test_nan_attribute_is_400_and_never_cached(self, counting_service,
+                                                   rng):
+        payload = graph_payload(random_multiplex(12, 2, 4, rng))
+        payload["x"][3][2] = float("nan")
+        gateway = Gateway(counting_service, linger_ms=0.0)
+        with ServerThread(gateway) as server, \
+                ServerClient(port=server.port) as client:
+            with pytest.raises(ServerClientError) as excinfo:
+                client._request("POST", "/v1/score", {"graph": payload})
+        assert excinfo.value.status == 400
+        assert "row 3, column 2" in excinfo.value.message
+        assert counting_service.detector.calls == 0
+        assert counting_service.cache_info()["entries"] == 0
+
+    def test_nan_scores_are_a_valid_json_500(self, rng):
+        import http.client as http_client
+        import json
+
+        class NaNDetector(CountingDetector):
+            def score_graph(self, graph):
+                return np.full(graph.num_nodes, np.nan)
+
+        gateway = Gateway(DetectorService(NaNDetector()), linger_ms=0.0)
+        body = json.dumps(
+            {"graph": graph_payload(random_multiplex(10, 2, 4, rng))})
+        with ServerThread(gateway) as server:
+            connection = http_client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=10.0)
+            connection.request("POST", "/v1/score", body=body,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            raw = response.read()
+            connection.close()
+        assert response.status == 500
+
+        def reject(constant):
+            raise AssertionError(f"non-JSON constant {constant} in body")
+
+        assert "error" in json.loads(raw, parse_constant=reject)
 
 
 class TestGatewayWithoutExtras:

@@ -335,8 +335,13 @@ class TestGatewaySLO:
         rng = np.random.default_rng(2)
         empty = service.cache_info()
         assert empty["entries"] == 0 and empty["bytes"] == 0
-        service.scores(random_multiplex(20, 1, 4, rng))
+        graph = random_multiplex(20, 1, 4, rng)
+        scores = service.scores(graph)
         info = service.cache_info()
         assert info["entries"] == 1
-        assert info["bytes"] > 0
+        # The LRU pins the scores, not the graph they came from.
+        assert info["bytes"] == scores.nbytes
         assert info["capacity"] == 4 and info["inflight"] == 0
+        service.top_k(graph, 3)  # builds the cached ranking
+        ranking_bytes = scores.size * np.dtype(np.intp).itemsize
+        assert service.cache_info()["bytes"] == scores.nbytes + ranking_bytes
