@@ -1,7 +1,7 @@
 """Shared building blocks for the baseline detectors.
 
 Every baseline re-implements the *core mechanism* of its paper on the shared
-numpy substrate (see DESIGN.md §1 for the substitution argument). The pieces
+numpy substrate (see README, "Deviations from the paper", item 1). The pieces
 that recur — GCN encoder stacks, generic training loops, reconstruction
 scoring, neighbor aggregation, k-means, spectral embeddings — live here so
 each baseline file reads as its mechanism only.

@@ -15,11 +15,11 @@ Nine methods re-implemented around their core contrast mechanism:
 * **VGOD** — variance-based neighbor-distribution outlierness + attribute
   reconstruction.
 
-Shared simplification (documented in DESIGN.md): local-subgraph readouts
-are computed as propagated-feature neighborhoods (``P^t X`` with the
-row-normalised propagator) rather than per-node RWR loops — the same local
-context signal, fully vectorised. Negative readouts are other nodes'
-readouts, as in the original samplers.
+Shared simplification (README, "Deviations from the paper", item 5):
+local-subgraph readouts are computed as propagated-feature neighborhoods
+(``P^t X`` with the row-normalised propagator) rather than per-node RWR
+loops — the same local context signal, fully vectorised. Negative readouts
+are other nodes' readouts, as in the original samplers.
 """
 
 from __future__ import annotations

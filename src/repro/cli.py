@@ -177,10 +177,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8765,
                        help="TCP port (0 picks an ephemeral port)")
-    serve.add_argument("--worker-threads", "--workers", type=int, default=2,
+    serve.add_argument("--worker-threads", type=int, default=2,
                        dest="workers", metavar="N",
-                       help="micro-batch worker threads (--workers is a "
-                            "deprecated alias, kept for compatibility)")
+                       help="micro-batch worker threads")
     serve.add_argument("--worker-procs", type=int, default=2, metavar="N",
                        help="scoring worker processes for "
                             "--exec-tier process")

@@ -79,7 +79,7 @@ class UMGADConfig:
     early_stop_min_delta: float = 1e-3
 
     # Relation fusion (Eq. 3 / 8): "learned" trains a_r / b_r; "uniform"
-    # freezes both at 1/R (the DESIGN.md §4 ablation).
+    # freezes both at 1/R (README, "Deviations from the paper", item 4).
     relation_fusion: str = "learned"
 
     # Scoring

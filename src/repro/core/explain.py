@@ -79,16 +79,11 @@ class AnomalyExplainer:
         self._prepare()
 
     def _prepare(self) -> None:
-        from contextlib import nullcontext
-
-        from .scoring import fast_score_enabled
-
         model, graph = self.model, self.graph
         cfg = model.config
         # no_grad: evidence gathering is pure inference — tape-free
-        # forwards through the same grad-free engine scoring uses (and the
-        # same REPRO_DISABLE_FAST_SCORE escape hatch).
-        with (no_grad() if fast_score_enabled() else nullcontext()):
+        # forwards through the same grad-free engine scoring uses.
+        with no_grad():
             fused, _ = model._masked_eval_recon(model.networks.attr, graph)
             _, per_rel = model._fused_eval_recon(model.networks.struct, graph)
         self._fused = fused

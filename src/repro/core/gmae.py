@@ -5,7 +5,7 @@ matching Sec. V-A3: "Our method adopts GAT and simplified GCN as the encoder
 and decoder") with a simplified-GCN decoder that maps hidden states back to
 attribute space. The learnable ``[MASK]`` token lives here too.
 
-Scoring fast path: under :func:`~repro.autograd.grad_mode.no_grad`,
+Scoring kernels: under :func:`~repro.autograd.grad_mode.no_grad`,
 :meth:`GMAE.forward` routes GAT layers through their CSR inference kernel,
 and :meth:`GMAE.impute_grouped` evaluates all disjoint mask groups of a
 masked scoring pass as one stacked forward over the relation's cached
@@ -112,11 +112,8 @@ class GMAE(Module):
         """Run the encoder stack over ``graph``'s structure."""
         h = x
         if self.kind == "gat":
-            from .scoring import fast_score_enabled
-
             src, dst = graph.directed_pairs()
-            inference = (not grad_mode.is_grad_enabled()
-                         and fast_score_enabled())
+            inference = not grad_mode.is_grad_enabled()
             for i, layer in enumerate(self.encoder):
                 scatter = (graph.gat_scatter(1, layer.add_self_loops)
                            if inference else None)

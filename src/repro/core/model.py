@@ -15,7 +15,8 @@ Three components trained jointly end-to-end:
 The total objective is Eq. 18; anomaly scores follow Eq. 19 and the
 unsupervised threshold Sec. IV-E (see :mod:`repro.core.threshold`).
 
-Documented deviations from the paper (also listed in DESIGN.md):
+Documented deviations from the paper (README, "Deviations from the paper",
+item 3):
 
 * The ``K`` mask repeats share encoder/decoder weights (the paper indexes
   weights by ``(r, k)``); repeats act as mask resampling, which is the
@@ -28,12 +29,11 @@ Documented deviations from the paper (also listed in DESIGN.md):
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import is_grad_enabled, no_grad, ops
+from ..autograd import no_grad, ops
 from ..autograd.tensor import Tensor
 from ..detection import BaseDetector
 from ..engine import (
@@ -57,7 +57,6 @@ from .losses import dual_view_contrastive, masked_edge_loss, scaled_cosine_error
 from .scoring import (
     attribute_errors,
     combine_view_score,
-    fast_score_enabled,
     structure_errors,
 )
 
@@ -361,11 +360,9 @@ class UMGAD(BaseDetector):
         the anomaly signal. Falls back to the unmasked pass when masking is
         ablated (w/o M), which is exactly that variant's point.
 
-        Fast path (the default, see :func:`fast_score_enabled`): when the
-        call runs under :func:`~repro.autograd.no_grad`, the group loop is
-        replaced by one stacked forward per relation
-        (:meth:`~repro.core.gmae.GMAE.impute_grouped`) — bitwise-identical
-        and pinned by the parity fixtures.
+        All groups of a relation run as one stacked forward
+        (:meth:`~repro.core.gmae.GMAE.impute_grouped`), so the call must
+        run under :func:`~repro.autograd.no_grad`.
         """
         if not self.config.use_mask:
             return self._fused_eval_recon(graph=graph, bank=bank, cache=cache)
@@ -379,22 +376,10 @@ class UMGAD(BaseDetector):
             groups = [g for g in np.array_split(perm, num_groups) if g.size]
             sp.set("groups", len(groups))
             sp.set("relations", len(relations))
-
-            # Batched only when the fast engine is on AND the tape is off —
-            # checking the flag here (not just the grad state) keeps the
-            # REPRO_DISABLE_FAST_SCORE escape hatch effective even when a
-            # caller wraps scoring in their own no_grad().
-            if fast_score_enabled() and not is_grad_enabled():
-                workspace = (cache.setdefault("workspace", {})
-                             if cache is not None else None)
-                per_rel = [bank[r].impute_grouped(x, rel, groups, workspace)
-                           for r, rel in enumerate(relations)]
-            else:
-                per_rel = [np.zeros_like(graph.x) for _ in relations]
-                for group in groups:
-                    for r, rel in enumerate(relations):
-                        rec = bank[r].forward(x, rel, masked_nodes=group).data
-                        per_rel[r][group] = rec[group]
+            workspace = (cache.setdefault("workspace", {})
+                         if cache is not None else None)
+            per_rel = [bank[r].impute_grouped(x, rel, groups, workspace)
+                       for r, rel in enumerate(relations)]
 
             # Degree-aware fusion: a masked node can only be imputed from
             # relations where it actually has neighbors — fusing in a
@@ -417,7 +402,7 @@ class UMGAD(BaseDetector):
 
     def _view_score(self, graph: MultiplexGraph, fused: np.ndarray,
                     per_rel: List[np.ndarray], include_attr: bool,
-                    include_struct: bool, fast: bool = False) -> np.ndarray:
+                    include_struct: bool) -> np.ndarray:
         cfg = self.config
         relations = self._relation_list(graph)
         attr_err = None
@@ -443,36 +428,29 @@ class UMGAD(BaseDetector):
                     struct_errs.append(structure_errors(
                         decoded, rel, cfg.structure_score_mode, self._rng,
                         negatives_per_node=cfg.structure_score_negatives,
-                        exact_max_nodes=cfg.exact_score_max_nodes,
-                        fast=fast))
+                        exact_max_nodes=cfg.exact_score_max_nodes))
         return combine_view_score(attr_err, struct_errs, cfg.epsilon)
 
     def _compute_scores(self, graph: MultiplexGraph) -> np.ndarray:
         """Eq. 19 over the configured views.
 
-        By default this runs the grad-free engine: the networks flip to
-        eval mode, the whole pass sits under ``no_grad()`` (tape-free
-        forwards, CSR attention kernels, stacked mask groups), identical
-        fused passes are shared through a per-call cache (which also holds
-        the stacked mask groups' scratch buffers), and the sampled
-        structure scorer takes its fast kernels. ``REPRO_DISABLE_FAST_SCORE=1``
-        restores the sequential tape-recording path; both produce
-        bit-identical scores (pinned by ``tests/fixtures/score_parity.json``
-        and the in-process parity assertions).
+        The networks flip to eval mode and the whole pass sits under
+        ``no_grad()`` (tape-free forwards, CSR attention kernels, stacked
+        mask groups); identical fused passes are shared through a per-call
+        cache, which also holds the stacked mask groups' scratch buffers.
+        ``tests/fixtures/score_parity.json`` pins the resulting scores.
         """
         cfg = self.config
         nets = self.networks
         include_attr = cfg.mode in ("full", "att")
         include_struct = cfg.mode in ("full", "str", "sub")
-        fast = fast_score_enabled()
-        cache: Optional[dict] = {} if fast else None
+        cache: dict = {}
         views = []
 
         was_training = nets.training
         nets.eval()
         try:
-            with (no_grad() if fast else nullcontext()), \
-                    single_threaded_blas():
+            with no_grad(), single_threaded_blas():
                 if cfg.use_original and cfg.mode != "sub":
                     with span("score.view") as sp:
                         sp.set("view", "original")
@@ -491,7 +469,7 @@ class UMGAD(BaseDetector):
                             per_rel_struct = []
                         views.append(self._view_score(
                             graph, fused, per_rel_struct, include_attr,
-                            include_struct, fast=fast))
+                            include_struct))
 
                 if cfg.use_augmented and cfg.use_attr_aug and \
                         cfg.mode in ("full", "att"):
@@ -504,8 +482,7 @@ class UMGAD(BaseDetector):
                                 nets.attr_aug, graph, cache)
                         views.append(self._view_score(
                             graph, fused, per_rel, include_attr,
-                            include_struct and cfg.mode == "full",
-                            fast=fast))
+                            include_struct and cfg.mode == "full"))
 
                 if cfg.use_augmented and cfg.use_subgraph_aug and \
                         cfg.mode in ("full", "sub", "str"):
@@ -517,7 +494,7 @@ class UMGAD(BaseDetector):
                             nets.sub_aug, graph, cache)
                         views.append(self._view_score(
                             graph, fused, per_rel, include_attr,
-                            include_struct, fast=fast))
+                            include_struct))
         finally:
             nets.train(was_training)
 

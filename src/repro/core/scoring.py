@@ -17,14 +17,14 @@ Two structure-error implementations:
 * **sampled** — per node, only its observed neighbors plus ``q`` sampled
   non-neighbors are evaluated (the RQ3 large-graph path).
 
-Deviation noted in DESIGN.md: each error term is min–max normalised across
-nodes before the ε-mix so the two terms are commensurable (the common
-DOMINANT-style practice; the paper's ε is otherwise scale-dependent).
+Deviation (README, "Deviations from the paper", item 2): each error term
+is min–max normalised across nodes before the ε-mix so the two terms are
+commensurable (the common DOMINANT-style practice; the paper's ε is
+otherwise scale-dependent).
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional
 
@@ -32,15 +32,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..graphs.graph import RelationGraph
-
-
-def fast_score_enabled() -> bool:
-    """True unless ``REPRO_DISABLE_FAST_SCORE=1`` opts back into the
-    sequential tape-recording scoring path (kept as a byte-exact fallback
-    and as the baseline the perf benchmarks compare against). Checked by
-    every layer of the grad-free engine — model, GMAE, serving — so the
-    escape hatch holds even inside an ambient ``no_grad()`` region."""
-    return os.environ.get("REPRO_DISABLE_FAST_SCORE", "") in ("", "0")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -112,7 +103,7 @@ def attribute_errors(reconstructed: np.ndarray, original: np.ndarray,
     residual the training loss (Eq. 4) minimises. The cosine form is
     scale-invariant, which matters for camouflaged anomalies whose feature
     *norms* shrink toward the global mean: Euclidean error under-scores
-    exactly those nodes (documented deviation, DESIGN.md §1).
+    exactly those nodes (README, "Deviations from the paper", item 2).
     """
     if metric == "euclidean":
         return np.linalg.norm(reconstructed - original, axis=1)
@@ -148,122 +139,92 @@ def structure_errors_exact(decoded: np.ndarray, graph: RelationGraph,
 
 def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
                              rng: np.random.Generator,
-                             negatives_per_node: int = 20,
-                             fast: bool = False) -> np.ndarray:
+                             negatives_per_node: int = 20) -> np.ndarray:
     """Neighbor + sampled-negative estimate of the structure row error.
 
     For node ``i``: error over its observed neighbors (should reconstruct
     to ~1) plus ``negatives_per_node`` random non-edges (should be ~0),
     averaged. Unbiased up to the negative subsample, O(E + n·q) total.
 
-    ``fast=True`` (the grad-free scoring engine) draws the identical
-    negative sample and returns bit-identical errors through cheaper
-    kernels: bincount scatter (same accumulation order as ``np.add.at``),
-    one logit per undirected edge, a clip-free in-place sigmoid (the
-    cosine logits live in ``±LOGIT_SCALE``, far inside the clip range, so
-    the clamp is the identity), and blocked row contractions into two
-    reused ``(n, f)`` buffers that skip the ``(E, f)`` and ``(n, q, f)``
-    gathers (verified bit-equal to the one-shot einsum).
+    The kernel uses a bincount scatter (same accumulation order as
+    ``np.add.at``), one logit per undirected edge, a clip-free in-place
+    sigmoid (the cosine logits live in ``±LOGIT_SCALE``, far inside the
+    clip range of :func:`_sigmoid`, so the clamp is the identity), and
+    blocked row contractions into two reused ``(n, f)`` buffers that skip
+    the ``(E, f)`` and ``(n, q, f)`` gathers. ``tests/test_grad_mode.py``
+    checks it bit for bit against a one-shot ``einsum``/``np.add.at``
+    reference.
     """
     n = graph.num_nodes
     z = decoded / (np.linalg.norm(decoded, axis=1, keepdims=True) + 1e-12)
     adj = graph.adjacency()
 
-    if fast:
-        # Every row gather below writes into one of two preallocated (n, f)
-        # buffers, in blocks of at most n rows, instead of allocating
-        # (E, f) or (n, q, f) temporaries; each row's dot product is the
-        # same either way, so the bits match (tests/test_grad_mode.py).
-        # ``mode="clip"`` lets ``take`` write straight into ``out`` (the
-        # default "raise" buffers it). It never changes a value: negative
-        # samples are drawn in [0, n), and ``graph.adjacency()`` above has
-        # already rejected any edge endpoint outside [0, n).
-        left = np.empty_like(z)
-        right = np.empty_like(z)
+    # Every row gather below writes into one of two preallocated (n, f)
+    # buffers, in blocks of at most n rows, instead of allocating
+    # (E, f) or (n, q, f) temporaries; each row's dot product is the
+    # same either way, so the bits match (tests/test_grad_mode.py).
+    # ``mode="clip"`` lets ``take`` write straight into ``out`` (the
+    # default "raise" buffers it). It never changes a value: negative
+    # samples are drawn in [0, n), and ``graph.adjacency()`` above has
+    # already rejected any edge endpoint outside [0, n).
+    left = np.empty_like(z)
+    right = np.empty_like(z)
 
-        # Both directions of an edge share one logit (the dot product
-        # commutes exactly), so evaluate each undirected edge once and
-        # feed the doubled weights to the same bincount over ``src``.
-        edges = graph.edges
-        per = np.empty(graph.num_edges, dtype=z.dtype)
-        for start in range(0, graph.num_edges, n):
-            block = edges[start:start + n]
-            m = block.shape[0]
-            np.take(z, block[:, 0], axis=0, out=left[:m], mode="clip")
-            np.take(z, block[:, 1], axis=0, out=right[:m], mode="clip")
-            np.einsum("ij,ij->i", left[:m], right[:m],
-                      out=per[start:start + m])
-        _sigmoid_logits_inplace(per)
-        np.subtract(per, 1.0, out=per)
-        np.abs(per, out=per)
-        src, _ = graph.directed_pairs()
-        pos_err = np.bincount(src, weights=np.concatenate([per, per]),
-                              minlength=n)
+    # Both directions of an edge share one logit (the dot product
+    # commutes exactly), so evaluate each undirected edge once and
+    # feed the doubled weights to the same bincount over ``src``.
+    edges = graph.edges
+    per = np.empty(graph.num_edges, dtype=z.dtype)
+    for start in range(0, graph.num_edges, n):
+        block = edges[start:start + n]
+        m = block.shape[0]
+        np.take(z, block[:, 0], axis=0, out=left[:m], mode="clip")
+        np.take(z, block[:, 1], axis=0, out=right[:m], mode="clip")
+        np.einsum("ij,ij->i", left[:m], right[:m],
+                  out=per[start:start + m])
+    _sigmoid_logits_inplace(per)
+    np.subtract(per, 1.0, out=per)
+    np.abs(per, out=per)
+    src, _ = graph.directed_pairs()
+    pos_err = np.bincount(src, weights=np.concatenate([per, per]),
+                          minlength=n)
 
-        # Negatives column by column, into a (q, n) logit buffer.
-        neg_idx = rng.integers(0, n, size=(n, negatives_per_node))
-        neg_cols = np.ascontiguousarray(neg_idx.T)
-        logits = np.empty((negatives_per_node, n), dtype=z.dtype)
-        for k in range(negatives_per_node):
-            np.take(z, neg_cols[k], axis=0, out=left, mode="clip")
-            np.einsum("ij,ij->i", z, left, out=logits[k])
-        _sigmoid_logits_inplace(logits)
-        rows = _query_rows(n, negatives_per_node, adj.indices.dtype)
-        is_edge = _sample_adjacency(adj, rows, neg_idx.ravel()).reshape(
-            n, negatives_per_node)
-        # back to (n, q), in the promoted dtype of ``pred - is_edge``, so
-        # the row sums keep their reduction order
-        neg_pred = logits.T.astype(np.result_type(logits, is_edge),
-                                   order="C")
-        np.subtract(neg_pred, is_edge, out=neg_pred)
-        np.abs(neg_pred, out=neg_pred)
-        neg_err = neg_pred.sum(axis=1)
-
-        total = pos_err + neg_err
-        count = graph.degrees() + float(negatives_per_node)
-        return total / count
-
-    pos_err = np.zeros(n, dtype=np.float64)
-    deg = np.zeros(n, dtype=np.float64)
-    if graph.num_edges:
-        src, dst = graph.directed_pairs()
-        logits = LOGIT_SCALE * np.einsum("ij,ij->i", z[src], z[dst])
-        per_edge = np.abs(_sigmoid(logits) - 1.0)
-        np.add.at(pos_err, src, per_edge)
-        np.add.at(deg, src, 1.0)
-
+    # Negatives column by column, into a (q, n) logit buffer.
     neg_idx = rng.integers(0, n, size=(n, negatives_per_node))
-    neg_logits = LOGIT_SCALE * np.einsum("ij,ikj->ik", z, z[neg_idx])
-    neg_pred = _sigmoid(neg_logits)
-    # Sampled pairs that happen to be true edges contribute |p - 1| instead.
-    rows = np.repeat(np.arange(n), negatives_per_node)
-    is_edge = np.asarray(adj[rows, neg_idx.ravel()]).ravel().reshape(n, negatives_per_node)
-    neg_err = np.abs(neg_pred - is_edge).sum(axis=1)
+    neg_cols = np.ascontiguousarray(neg_idx.T)
+    logits = np.empty((negatives_per_node, n), dtype=z.dtype)
+    for k in range(negatives_per_node):
+        np.take(z, neg_cols[k], axis=0, out=left, mode="clip")
+        np.einsum("ij,ij->i", z, left, out=logits[k])
+    _sigmoid_logits_inplace(logits)
+    rows = _query_rows(n, negatives_per_node, adj.indices.dtype)
+    is_edge = _sample_adjacency(adj, rows, neg_idx.ravel()).reshape(
+        n, negatives_per_node)
+    # back to (n, q), in the promoted dtype of ``pred - is_edge``, so
+    # the row sums keep their reduction order
+    neg_pred = logits.T.astype(np.result_type(logits, is_edge),
+                               order="C")
+    np.subtract(neg_pred, is_edge, out=neg_pred)
+    np.abs(neg_pred, out=neg_pred)
+    neg_err = neg_pred.sum(axis=1)
 
     total = pos_err + neg_err
-    count = deg + negatives_per_node
+    count = graph.degrees() + float(negatives_per_node)
     return total / count
 
 
 def structure_errors(decoded: np.ndarray, graph: RelationGraph,
                      mode: str, rng: np.random.Generator,
                      negatives_per_node: int = 20,
-                     exact_max_nodes: int = 4000,
-                     fast: bool = False) -> np.ndarray:
-    """Dispatch between exact and sampled structure error.
-
-    ``fast`` routes sampled mode through its grad-free kernels (bitwise
-    identical; see :func:`structure_errors_sampled`). Exact mode has no
-    fast variant — it is one blocked BLAS product either way.
-    """
+                     exact_max_nodes: int = 4000) -> np.ndarray:
+    """Dispatch between exact and sampled structure error."""
     if mode == "auto":
         mode = "exact" if graph.num_nodes <= exact_max_nodes else "sampled"
     if mode == "exact":
         return structure_errors_exact(decoded, graph)
     if mode == "sampled":
         return structure_errors_sampled(decoded, graph, rng,
-                                        negatives_per_node=negatives_per_node,
-                                        fast=fast)
+                                        negatives_per_node=negatives_per_node)
     raise ValueError(f"unknown structure score mode {mode!r}")
 
 

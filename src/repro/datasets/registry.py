@@ -3,7 +3,7 @@
 Paper Table I statistics are encoded here verbatim; each builder generates a
 synthetic multiplex graph whose node count, relation edge-count ratios and
 anomaly rate follow the paper's numbers at a configurable ``scale`` (see
-DESIGN.md §1 for why this substitution preserves behaviour).
+README, "Deviations from the paper", item 1).
 
 For the two *injected-anomaly* datasets (Retail, Alibaba) the clean graph is
 generated first and the Ding et al. protocol injects anomalies — exactly the

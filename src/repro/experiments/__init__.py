@@ -1,4 +1,5 @@
-"""Experiment modules: one per paper table/figure (see DESIGN.md §3).
+"""Experiment modules: one per paper table/figure (README, "Reproducing the
+paper").
 
 Each module exposes ``run(profile, ...) -> rows`` and ``render(rows) -> str``.
 Profiles (:data:`FAST`, :data:`FULL`) size the sweeps.

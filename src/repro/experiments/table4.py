@@ -4,7 +4,8 @@
 augmented views), ``w/o NA`` (no attribute-level augmentation), ``w/o SA``
 (no subgraph-level augmentation), ``w/o DCL`` (no dual-view contrastive
 learning). An extra repo-specific ablation ``uniform-fusion`` freezes the
-relation-fusion weights to uniform (DESIGN.md §4).
+relation-fusion weights to uniform (README, "Deviations from the paper",
+item 4).
 """
 
 from __future__ import annotations

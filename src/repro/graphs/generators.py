@@ -1,8 +1,8 @@
 """Synthetic multiplex-graph generators.
 
 These are the data substrate standing in for the paper's six datasets (see
-DESIGN.md §1). Three families mirror the three kinds of networks the paper
-evaluates on:
+README, "Deviations from the paper", item 1). Three families mirror the
+three kinds of networks the paper evaluates on:
 
 * :func:`behavior_multiplex` — e-commerce user–item interaction graphs with
   nested View ⊃ Cart ⊃ Buy relations (Retail Rocket, Alibaba).

@@ -28,7 +28,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .. import chaos
-from ..autograd import no_grad
 from ..detection import BaseDetector
 from ..graphs.io import graph_fingerprint
 from ..graphs.multiplex import MultiplexGraph
@@ -237,16 +236,7 @@ class DetectorService:
                 f"{type(detector).__name__} keeps no reusable networks, so "
                 "it can only serve the graph it was fitted on (fingerprint "
                 "mismatch); refit or serve a UMGAD checkpoint instead")
-        from contextlib import nullcontext
-
-        from ..core.scoring import fast_score_enabled
-
-        # Serving is inference by definition: run the request tape-free
-        # through the grad-free scoring engine — unless
-        # REPRO_DISABLE_FAST_SCORE=1 asks for the sequential
-        # tape-recording fallback end to end.
-        with self._score_gate, span("service.score_pass"), \
-                (no_grad() if fast_score_enabled() else nullcontext()):
+        with self._score_gate, span("service.score_pass"):
             return score_graph(graph)
 
     def _entry(self, graph: MultiplexGraph,

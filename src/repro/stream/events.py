@@ -18,6 +18,10 @@ Event semantics (enforced by :class:`repro.stream.IncrementalGraphBuilder`):
   node's id is the current node count.
 * :class:`UpdateAttr` — overwrites one node's attribute vector.
 
+An attribute vector must be finite: ``AddNode`` and ``UpdateAttr`` reject a
+NaN or infinite entry at construction, naming its column, because one
+non-finite attribute turns every score of the graph into NaN.
+
 JSONL round-trips are exact: floats are serialised via ``repr`` (Python's
 ``json``), which reconstructs the same float64 bit pattern, so a replayed
 log produces a graph with an identical :func:`~repro.graphs.io.graph_fingerprint`.
@@ -42,6 +46,17 @@ def _canonical_endpoints(u: int, v: int) -> Tuple[int, int]:
     if u == v:
         raise ValueError(f"self-loop edge ({u}, {u}) is not a valid event")
     return (u, v) if u < v else (v, u)
+
+
+def _finite_attrs(x) -> np.ndarray:
+    """``x`` as a flat float64 vector, rejecting NaN and infinite entries."""
+    attrs = np.asarray(x, dtype=np.float64).ravel()
+    finite = np.isfinite(attrs)
+    if not finite.all():
+        col = int(np.argmin(finite))
+        raise ValueError(
+            f"'x' has a non-finite value ({attrs[col]}) at column {col}")
+    return attrs
 
 
 @dataclass(frozen=True)
@@ -91,8 +106,7 @@ class AddNode:
     op = "add_node"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "x", np.asarray(self.x, dtype=np.float64).ravel())
+        object.__setattr__(self, "x", _finite_attrs(self.x))
 
     def __eq__(self, other) -> bool:
         # the generated __eq__ would bool an elementwise ndarray comparison
@@ -115,8 +129,7 @@ class UpdateAttr:
         if int(self.node) < 0:
             raise ValueError(f"node id must be non-negative, got {self.node}")
         object.__setattr__(self, "node", int(self.node))
-        object.__setattr__(
-            self, "x", np.asarray(self.x, dtype=np.float64).ravel())
+        object.__setattr__(self, "x", _finite_attrs(self.x))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, UpdateAttr) and self.node == other.node

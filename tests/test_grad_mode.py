@@ -7,9 +7,10 @@ The load-bearing guarantees of the inference engine:
   ``requires_grad`` propagation);
 * ``backward()`` raises cleanly on tape-free tensors;
 * every grad-free kernel — bincount segment ops, the CSR GAT attention
-  kernel, block-diagonal batched masked scoring, the fast sampled
-  structure scorer — is **bitwise identical** to the recording path it
-  replaces.
+  kernel, block-diagonal batched masked scoring — is **bitwise
+  identical** to the recording path it replaces, and the sampled
+  structure scorer is bitwise identical to the one-shot legacy estimator
+  kept here as ``_reference_structure_errors``.
 """
 
 import numpy as np
@@ -27,7 +28,11 @@ from repro.autograd import (
     tensor,
 )
 from repro.core.gmae import GMAE
-from repro.core.scoring import structure_errors_sampled
+from repro.core.scoring import (
+    LOGIT_SCALE,
+    structure_errors,
+    structure_errors_sampled,
+)
 from repro.graphs import random_multiplex
 from repro.graphs.graph import RelationGraph
 from repro.nn import GATConv, Module, Parameter
@@ -443,25 +448,54 @@ class TestImputeGroupedParity:
             gmae.impute_grouped(x, graph, [np.arange(10)])
 
 
+def _reference_structure_errors(decoded, graph, rng, negatives_per_node=20):
+    """The legacy one-shot sampled estimator: ``(E, f)`` and ``(n, q, f)``
+    gathers, ``einsum`` contractions, ``np.add.at`` scatter and a clamped
+    sigmoid. It draws the same negatives as the production kernel."""
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+    n = graph.num_nodes
+    z = decoded / (np.linalg.norm(decoded, axis=1, keepdims=True) + 1e-12)
+    adj = graph.adjacency()
+    pos_err = np.zeros(n, dtype=np.float64)
+    deg = np.zeros(n, dtype=np.float64)
+    if graph.num_edges:
+        src, dst = graph.directed_pairs()
+        logits = LOGIT_SCALE * np.einsum("ij,ij->i", z[src], z[dst])
+        np.add.at(pos_err, src, np.abs(sigmoid(logits) - 1.0))
+        np.add.at(deg, src, 1.0)
+    neg_idx = rng.integers(0, n, size=(n, negatives_per_node))
+    neg_pred = sigmoid(LOGIT_SCALE * np.einsum("ij,ikj->ik", z, z[neg_idx]))
+    # sampled pairs that happen to be true edges contribute |p - 1|
+    rows = np.repeat(np.arange(n), negatives_per_node)
+    is_edge = np.asarray(adj[rows, neg_idx.ravel()]).ravel().reshape(
+        n, negatives_per_node)
+    neg_err = np.abs(neg_pred - is_edge).sum(axis=1)
+    return (pos_err + neg_err) / (deg + negatives_per_node)
+
+
 class TestStructureScorerParity:
+    """``structure_errors_sampled`` against the legacy estimator
+    (:func:`_reference_structure_errors`), bit for bit."""
+
     def test_fast_matches_legacy_bitwise(self):
         rng = np.random.default_rng(31)
         graph = _graph(rng, n=120, avg_degree=5.0)
         decoded = rng.normal(size=(120, 9))
-        legacy = structure_errors_sampled(
+        legacy = _reference_structure_errors(
             decoded, graph, np.random.default_rng(3), negatives_per_node=15)
         fast = structure_errors_sampled(
-            decoded, graph, np.random.default_rng(3), negatives_per_node=15,
-            fast=True)
+            decoded, graph, np.random.default_rng(3), negatives_per_node=15)
         assert np.array_equal(legacy, fast)
 
     def test_fast_matches_legacy_no_edges(self):
         graph = RelationGraph(30, np.empty((0, 2), dtype=np.int64))
         decoded = np.random.default_rng(4).normal(size=(30, 5))
-        legacy = structure_errors_sampled(
+        legacy = _reference_structure_errors(
             decoded, graph, np.random.default_rng(5))
         fast = structure_errors_sampled(
-            decoded, graph, np.random.default_rng(5), fast=True)
+            decoded, graph, np.random.default_rng(5))
         assert np.array_equal(legacy, fast)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -471,11 +505,10 @@ class TestStructureScorerParity:
         rng = np.random.default_rng(32)
         graph = _graph(rng, n=150, avg_degree=avg_degree)
         decoded = rng.normal(size=(150, 11)).astype(dtype)
-        legacy = structure_errors_sampled(
+        legacy = _reference_structure_errors(
             decoded, graph, np.random.default_rng(6), negatives_per_node=12)
         fast = structure_errors_sampled(
-            decoded, graph, np.random.default_rng(6), negatives_per_node=12,
-            fast=True)
+            decoded, graph, np.random.default_rng(6), negatives_per_node=12)
         assert np.array_equal(legacy, fast)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -484,35 +517,35 @@ class TestStructureScorerParity:
         graph = _isolated_graph(rng)
         assert np.count_nonzero(graph.degrees() == 0) >= 10
         decoded = rng.normal(size=(40, 6)).astype(dtype)
-        legacy = structure_errors_sampled(
+        legacy = _reference_structure_errors(
             decoded, graph, np.random.default_rng(7))
         fast = structure_errors_sampled(
-            decoded, graph, np.random.default_rng(7), fast=True)
+            decoded, graph, np.random.default_rng(7))
         assert np.array_equal(legacy, fast)
 
     def test_fast_matches_legacy_fewer_nodes_than_negatives(self):
         rng = np.random.default_rng(34)
         graph = _graph(rng, n=8, avg_degree=3.0)
         decoded = rng.normal(size=(8, 4))
-        legacy = structure_errors_sampled(
+        legacy = _reference_structure_errors(
             decoded, graph, np.random.default_rng(8), negatives_per_node=20)
         fast = structure_errors_sampled(
-            decoded, graph, np.random.default_rng(8), negatives_per_node=20,
-            fast=True)
+            decoded, graph, np.random.default_rng(8), negatives_per_node=20)
         assert np.array_equal(legacy, fast)
 
-    @pytest.mark.parametrize("fast", [False, True])
+    @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("bad", [12, -1])
-    def test_out_of_range_endpoint_raises(self, fast, bad):
+    def test_out_of_range_endpoint_raises(self, exact, bad):
         # validated=True skips canonicalisation, so the bad endpoint
         # reaches the scorer: building the adjacency must reject it before
-        # any gather could clamp it
+        # any gather could clamp it, in either structure mode
         graph = RelationGraph(10, np.array([[0, 3], [2, bad]]),
                               validated=True)
         decoded = np.random.default_rng(9).normal(size=(10, 4))
         with pytest.raises(ValueError):
-            structure_errors_sampled(decoded, graph,
-                                     np.random.default_rng(10), fast=fast)
+            structure_errors(decoded, graph,
+                             "exact" if exact else "sampled",
+                             np.random.default_rng(10))
 
 
 # ---------------------------------------------------------------------------

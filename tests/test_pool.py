@@ -534,9 +534,11 @@ class TestServeCliFlags:
                            "--worker-threads", "5")
         assert args.workers == 5
 
-    def test_workers_alias_still_accepted(self):
-        args = self._parse("serve", "--model", "m.npz", "--workers", "3")
-        assert args.workers == 3
+    def test_workers_alias_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            self._parse("serve", "--model", "m.npz", "--workers", "3")
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_exec_tier_and_procs(self):
         args = self._parse("serve", "--model", "m.npz",
@@ -550,11 +552,11 @@ class TestServeCliFlags:
         assert args.worker_procs == 2
         assert args.workers == 2
 
-    def test_help_mentions_deprecated_alias(self):
+    def test_help_lists_tier_flags(self):
         from repro.cli import _build_parser
         parser = _build_parser()
         serve = parser._subparsers._group_actions[0].choices["serve"]
         help_text = " ".join(serve.format_help().split())
         assert "--worker-threads" in help_text
-        assert "deprecated alias" in help_text
+        assert "--workers " not in help_text
         assert "--exec-tier" in help_text

@@ -567,6 +567,32 @@ class TestNonFiniteValues:
         assert counting_service.detector.calls == 0
         assert counting_service.cache_info()["entries"] == 0
 
+    @pytest.mark.parametrize("bad", [
+        {"op": "update_attr", "node": 1, "x": [0.0, float("nan"), 0.0, 0.0]},
+        {"op": "add_node", "x": [0.0, 0.0, 0.0, float("inf")]},
+    ])
+    def test_non_finite_event_is_400_before_monitor_and_wal(
+            self, counting_service, tmp_path, bad):
+        gateway = Gateway(counting_service, linger_ms=0.0, window=100,
+                          wal_dir=tmp_path / "wal", wal_fsync=False)
+        good = [{"op": "add_node", "x": [0.0, 0.0, 0.0, 0.0]},
+                {"op": "add_node", "x": [1.0, 1.0, 1.0, 1.0]}]
+        with ServerThread(gateway) as server, \
+                ServerClient(port=server.port) as client:
+            assert client.events(good)["accepted"] == 2
+            monitor = gateway.monitor
+            seq = monitor.wal.last_seq
+            assert seq > 0
+            # a valid event ahead of the bad one must not slip through
+            with pytest.raises(ServerClientError) as excinfo:
+                client.events([good[0], bad])
+        assert excinfo.value.status == 400
+        assert "bad event" in excinfo.value.message
+        column = 1 if bad["op"] == "update_attr" else 3
+        assert f"column {column}" in excinfo.value.message
+        assert monitor.buffered == 2
+        assert monitor.wal.last_seq == seq
+
     def test_nan_scores_are_a_valid_json_500(self, rng):
         import http.client as http_client
         import json

@@ -96,6 +96,17 @@ class TestEvents:
         with pytest.raises(ValueError, match="non-negative"):
             UpdateAttr(-1, [0.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_attributes_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite .* column 2"):
+            AddNode([0.0, 1.0, bad, bad])
+        with pytest.raises(ValueError, match="non-finite .* column 0"):
+            UpdateAttr(3, [bad, 1.0])
+        # the JSONL / HTTP decode path goes through the same constructors
+        with pytest.raises(ValueError, match="column 1"):
+            parse_event({"op": "update_attr", "node": 0, "x": [0.0, bad]})
+
     def test_parse_unknown_op(self):
         with pytest.raises(ValueError, match="unknown event op"):
             parse_event({"op": "explode"})
