@@ -6,9 +6,8 @@ on every op whose inputs require gradients. Inference never calls
 intermediate array for the lifetime of the output and pays a closure
 allocation per op. Entering :func:`no_grad` turns the tape off globally:
 ops compute plain numpy forwards, record no parents and no closures, and
-never propagate ``requires_grad``. Several ops additionally switch to
-faster grad-free kernels under ``no_grad`` (see
-:func:`repro.autograd.ops.segment_sum` and the GAT inference kernel in
+never propagate ``requires_grad``. The GAT layer additionally switches
+to a faster grad-free kernel under ``no_grad`` (see
 :class:`repro.nn.layers.GATConv`) whose results are bitwise identical to
 the recording path.
 

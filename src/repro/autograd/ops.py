@@ -8,9 +8,9 @@ keyed by tensor identity (see :meth:`repro.autograd.tensor.Tensor.backward`).
 
 Under :func:`~repro.autograd.grad_mode.no_grad` every op returns a plain
 constant tensor — no parents, no closures, no ``requires_grad``
-propagation — and the segment ops switch to faster scatter kernels
-(`numpy.bincount`-based) whose per-segment accumulation order, and hence
-result bits, match the recording path exactly.
+propagation. Every scatter — the segment ops forward and backward, and
+the ``gather_rows`` backward — runs through :func:`segment_add_data`,
+one ``numpy.bincount`` kernel for fitting and scoring alike.
 
 The op set is intentionally scoped to what graph anomaly-detection models
 need: dense linear algebra, reductions, indexing/scatter, activations, and
@@ -49,8 +49,9 @@ def _make(result: np.ndarray, parents: Tuple[Tensor, ...], backward) -> Tensor:
 
 
 def segment_add_data(data: np.ndarray, segment_ids: np.ndarray,
-                     num_segments: int) -> np.ndarray:
-    """Grad-free segment sum of raw arrays, bitwise-equal to ``np.add.at``.
+                     num_segments: int, dtype=None) -> np.ndarray:
+    """Segment sum of raw arrays into a zeroed ``dtype`` buffer (default
+    ``data.dtype``), bitwise-equal to ``np.add.at``.
 
     ``np.bincount`` and ``np.add.at`` both walk the input once in index
     order, so each segment accumulates its contributions in the same
@@ -58,12 +59,13 @@ def segment_add_data(data: np.ndarray, segment_ids: np.ndarray,
     bincount's plain C loop is several times faster than the buffered
     ufunc machinery. Trailing feature axes are folded into the bin index
     (segment-major), which keeps per-(segment, feature) accumulation order
-    intact. bincount only accumulates in float64, so other dtypes fall
-    back to ``np.add.at`` to preserve their rounding behaviour.
+    intact. bincount only accumulates in float64, so any other input or
+    output dtype falls back to ``np.add.at`` to keep its rounding.
     """
     out_shape = (num_segments,) + data.shape[1:]
-    if data.dtype != np.float64:
-        out = np.zeros(out_shape, dtype=data.dtype)
+    dtype = data.dtype if dtype is None else np.dtype(dtype)
+    if data.dtype != np.float64 or dtype != np.float64:
+        out = np.zeros(out_shape, dtype=dtype)
         np.add.at(out, segment_ids, data)
         return out
     flat = np.ascontiguousarray(data.reshape(data.shape[0], -1))
@@ -391,11 +393,9 @@ def gather_rows(a, row_index: np.ndarray) -> Tensor:
     out = a.data[row_index]
 
     def backward(grad, grads):
-        if not a.requires_grad:
-            return
-        full = np.zeros_like(a.data)
-        np.add.at(full, row_index, grad)
-        _acc(grads, a, full)
+        if a.requires_grad:
+            _acc(grads, a, segment_add_data(grad, row_index, a.data.shape[0],
+                                            a.data.dtype))
 
     return _make(out, (a,), backward)
 
@@ -431,11 +431,7 @@ def segment_sum(values, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """
     values = ensure_tensor(values)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if not grad_mode._enabled:
-        return Tensor(segment_add_data(values.data, segment_ids, num_segments))
-    out_shape = (num_segments,) + values.data.shape[1:]
-    out = np.zeros(out_shape, dtype=values.data.dtype)
-    np.add.at(out, segment_ids, values.data)
+    out = segment_add_data(values.data, segment_ids, num_segments)
 
     def backward(grad, grads):
         _acc(grads, values, grad[segment_ids])
@@ -459,19 +455,15 @@ def segment_softmax(scores, segment_ids: np.ndarray, num_segments: int) -> Tenso
     np.maximum.at(seg_max, segment_ids, data)
     shifted = data - seg_max[segment_ids]
     expd = np.exp(shifted)
-    if not grad_mode._enabled:
-        denom = segment_add_data(expd, segment_ids, num_segments)
-        return Tensor(expd / np.maximum(denom[segment_ids], 1e-30))
-    denom = np.zeros((num_segments,) + data.shape[1:], dtype=data.dtype)
-    np.add.at(denom, segment_ids, expd)
+    denom = segment_add_data(expd, segment_ids, num_segments)
     out = expd / np.maximum(denom[segment_ids], 1e-30)
 
     def backward(grad, grads):
         if not scores.requires_grad:
             return
         weighted = grad * out
-        seg_weighted = np.zeros((num_segments,) + data.shape[1:], dtype=data.dtype)
-        np.add.at(seg_weighted, segment_ids, weighted)
+        seg_weighted = segment_add_data(weighted, segment_ids, num_segments,
+                                        data.dtype)
         _acc(grads, scores, weighted - out * seg_weighted[segment_ids])
 
     return _make(out, (scores,), backward)

@@ -47,17 +47,27 @@ _SECTIONS: List[Tuple[str, object, dict]] = [
      {"datasets": ["retail", "yelpchi"]}),
 ]
 
+#: each section's ``--only`` key: its title before ``" — "``
+SECTION_KEYS: List[str] = [title.split(" — ", 1)[0]
+                           for title, _, _ in _SECTIONS]
+
 
 def generate(profile: ExperimentProfile,
              sections: Optional[List[str]] = None) -> str:
     """Run experiments and return the assembled markdown report.
 
-    ``sections`` optionally restricts to titles containing any of the given
-    substrings (e.g. ``["Table II", "Fig. 2"]``).
+    ``sections`` optionally restricts to the given section keys — the
+    title before ``" — "``, matched exactly (e.g. ``["Table II",
+    "Fig. 2"]``; ``"Table I"`` selects Table I alone). An unknown key
+    raises :class:`ValueError` naming the valid ones.
     """
+    unknown = sorted(set(sections or ()) - set(SECTION_KEYS))
+    if unknown:
+        raise ValueError(f"unknown report section(s) {unknown}; valid "
+                         f"keys: {SECTION_KEYS}")
     parts = [f"# UMGAD reproduction report (profile: {profile.name})", ""]
-    for title, module, kwargs in _SECTIONS:
-        if sections is not None and not any(s in title for s in sections):
+    for key, (title, module, kwargs) in zip(SECTION_KEYS, _SECTIONS):
+        if sections is not None and key not in sections:
             continue
         start = time.perf_counter()
         rows = module.run(profile, **kwargs)
@@ -79,8 +89,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="write the report to this path (default stdout)")
     parser.add_argument("--only", nargs="*", default=None,
-                        help="restrict to sections whose title contains any "
-                             "of these substrings")
+                        choices=SECTION_KEYS,
+                        help="restrict to these section keys, matched "
+                             "exactly (e.g. 'Table I' 'Fig. 2')")
     args = parser.parse_args(argv)
     profile = {"fast": FAST, "full": FULL, "sampled": SAMPLED}[args.profile]
     text = generate(profile, sections=args.only)

@@ -75,6 +75,36 @@ def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     return np.stack([unique_keys // num_nodes, unique_keys % num_nodes], axis=1)
 
 
+def check_canonical(edges, num_nodes: int, name: str) -> np.ndarray:
+    """Return ``edges`` as int64 if already in :func:`canonical_edges` form.
+
+    The O(E) check behind trusting stored edge arrays with
+    ``validated=True``: every row ``(u, v)`` must satisfy
+    ``0 <= u < v < num_nodes`` (no self-loops, no reversed pairs) and the
+    keys ``u * num_nodes + v`` must strictly increase (sorted, no
+    duplicates). Raises :class:`ValueError` naming relation ``name`` and
+    the first offending row otherwise.
+    """
+    edges = np.asarray(edges)
+    if (edges.ndim != 2 or edges.shape[1] != 2
+            or not (edges.size == 0 or np.issubdtype(edges.dtype,
+                                                     np.integer))):
+        raise ValueError(f"relation {name!r}: edges must be an integer "
+                         f"(E, 2) array, got {edges.dtype} {edges.shape}")
+    edges = edges.astype(np.int64, copy=False)
+    u, v = edges[:, 0], edges[:, 1]
+    bad = (u < 0) | (u >= v) | (v >= num_nodes)
+    keys = u * num_nodes + v
+    bad[1:] |= keys[1:] <= keys[:-1]
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"relation {name!r}: edge row {row} {edges[row].tolist()} is not "
+            f"canonical (need 0 <= u < v < {num_nodes}, rows sorted and "
+            "unique)")
+    return edges
+
+
 class RelationGraph:
     """An undirected graph over ``num_nodes`` shared nodes for one relation.
 
@@ -152,26 +182,55 @@ class RelationGraph:
         return self._degrees
 
     def sym_propagator(self, add_self_loops: bool = True) -> sp.csr_matrix:
-        """``D^{-1/2} (A [+ I]) D^{-1/2}`` — the GCN/SGC propagation operator."""
+        """``D^{-1/2} (A [+ I]) D^{-1/2}`` — the GCN/SGC propagation operator.
+
+        Assembled directly as canonical CSR from the cached adjacency
+        (binary, sorted rows, no self-loops — the canonical edge form
+        guarantees all three): each row's degree is its stored length, a
+        self-loop slot goes after the row's columns below the diagonal, and
+        each value is ``inv_sqrt[row] * inv_sqrt[col]`` — the same bits, in
+        the same order, as the two scipy products ``D^-1/2 @ A @ D^-1/2``,
+        without building either intermediate. Degree-0 rows (isolated
+        nodes without self-loops) get ``inv_sqrt = 0`` and store nothing,
+        so no ``inf``/``NaN`` can appear.
+        """
         key = bool(add_self_loops)
         if key not in self._sym_prop:
             with span("propagator.build") as sp_:
                 sp_.set("kind", "sym")
                 sp_.set("relation", self.name)
                 adj = self.adjacency()
+                n = self.num_nodes
+                nodes = np.arange(n, dtype=adj.indices.dtype)
+                counts = np.diff(adj.indptr)
                 if add_self_loops:
-                    adj = adj + sp.eye(self.num_nodes, format="csr",
-                                       dtype=adj.dtype)
-                deg = np.asarray(adj.sum(axis=1)).ravel()
+                    # r earlier diagonal slots shift row r right by r, and
+                    # its own slot follows its columns below r
+                    indptr = adj.indptr + np.arange(
+                        n + 1, dtype=adj.indptr.dtype)
+                    rows = np.repeat(nodes, counts)
+                    slots = indptr[:-1] + np.bincount(
+                        rows[adj.indices < rows], minlength=n)
+                    is_off = np.ones(adj.nnz + n, dtype=bool)
+                    is_off[slots] = False
+                    indices = np.empty(adj.nnz + n, dtype=adj.indices.dtype)
+                    indices[is_off] = adj.indices
+                    indices[slots] = nodes
+                    counts = counts + 1
+                else:
+                    indptr, indices = adj.indptr.copy(), adj.indices.copy()
+                rows = np.repeat(nodes, counts)
+                deg = counts.astype(adj.dtype)
                 inv_sqrt = np.zeros_like(deg)
                 nz = deg > 0
                 inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-                d_half = sp.diags(inv_sqrt)
-                # Pre-converted to CSR once here — spmm's hot path asserts
-                # CSR in debug mode instead of silently converting per call
-                # — and flagged symmetric so the backward pass reuses the
+                prop = sp.csr_matrix(
+                    (inv_sqrt[rows] * inv_sqrt[indices], indices, indptr),
+                    shape=(n, n))
+                prop.has_sorted_indices = True
+                prop.has_canonical_format = True
+                # Flagged symmetric so the backward pass reuses the
                 # operator.
-                prop = (d_half @ adj @ d_half).tocsr()
                 prop._spmm_transpose = prop
                 self._sym_prop[key] = prop
         return self._sym_prop[key]

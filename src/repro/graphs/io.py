@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .graph import RelationGraph
+from .graph import RelationGraph, check_canonical
 from .multiplex import MultiplexGraph
 
 _RELATION_PREFIX = "edges::"
@@ -97,7 +97,14 @@ def save_multiplex(path, graph: MultiplexGraph,
 
 
 def load_multiplex(path) -> Tuple[MultiplexGraph, Optional[np.ndarray]]:
-    """Load a graph saved by :func:`save_multiplex`; returns (graph, labels)."""
+    """Load a graph saved by :func:`save_multiplex`; returns (graph, labels).
+
+    Stored edge arrays must be in canonical form (see
+    :func:`~repro.graphs.graph.check_canonical`); a hand-edited or foreign
+    archive with self-loops, reversed, unsorted, duplicate or
+    out-of-range rows raises :class:`ValueError` naming the relation and
+    row instead of loading a graph with a corrupt adjacency.
+    """
     with np.load(path) as archive:
         if "x" not in archive:
             raise ValueError(f"{path}: not a multiplex archive (missing 'x')")
@@ -106,7 +113,8 @@ def load_multiplex(path) -> Tuple[MultiplexGraph, Optional[np.ndarray]]:
         for key in archive.files:
             if key.startswith(_RELATION_PREFIX):
                 name = key[len(_RELATION_PREFIX):]
-                relations[name] = RelationGraph(x.shape[0], archive[key],
+                edges = check_canonical(archive[key], x.shape[0], name)
+                relations[name] = RelationGraph(x.shape[0], edges,
                                                 name=name, validated=True)
         if not relations:
             raise ValueError(f"{path}: archive contains no relations")

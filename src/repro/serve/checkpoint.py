@@ -268,7 +268,8 @@ def load_checkpoint(path, match_dtype: bool = False) -> BaseDetector:
     """Reconstruct the detector saved by :func:`save_checkpoint`.
 
     Raises :class:`CheckpointError` on missing files, corrupted payloads
-    (checksum mismatch) and format-version mismatches.
+    (checksum mismatch), format-version mismatches and non-finite
+    weights (naming the parameter).
 
     ``match_dtype=True`` sets the autograd default dtype to the precision
     the checkpoint was trained at (header ``dtype``, when recorded):
@@ -340,6 +341,13 @@ def detector_from_payload(header: Dict[str, object],
     params = {name[len(_PARAM_PREFIX):]: value
               for name, value in payload.items()
               if name.startswith(_PARAM_PREFIX)}
+    for name, value in params.items():
+        # A NaN/inf weight (a diverged fit saved as-is) would turn every
+        # score NaN; refuse it here, at the load boundary.
+        if not np.isfinite(value).all():
+            raise CheckpointError(
+                f"{source}: parameter {name!r} holds non-finite values "
+                f"({int((~np.isfinite(value)).sum())} of {value.size})")
     arrays = {name[len(_ARRAY_PREFIX):]: value
               for name, value in payload.items()
               if name.startswith(_ARRAY_PREFIX)}

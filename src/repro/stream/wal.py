@@ -62,7 +62,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..graphs.graph import RelationGraph
+from ..graphs.graph import RelationGraph, check_canonical
 from ..graphs.io import _RELATION_PREFIX, graph_fingerprint
 from ..graphs.multiplex import MultiplexGraph
 from ..obs.log import get_logger
@@ -452,8 +452,9 @@ def load_latest_snapshot(directory) -> Optional[Tuple[MultiplexGraph, dict]]:
                     if key.startswith(_RELATION_PREFIX):
                         name = key[len(_RELATION_PREFIX):]
                         relations[name] = RelationGraph(
-                            x.shape[0], archive[key], name=name,
-                            validated=True)
+                            x.shape[0],
+                            check_canonical(archive[key], x.shape[0], name),
+                            name=name, validated=True)
                 if not relations:
                     raise ValueError("snapshot contains no relations")
         except (OSError, ValueError, KeyError, json.JSONDecodeError,

@@ -46,6 +46,41 @@ class TestGraphIO:
         with pytest.raises(ValueError, match="missing 'x'"):
             load_multiplex(path)
 
+    @pytest.mark.parametrize("edges,row", [
+        ([[2, 2], [1, 0], [0, 1], [0, 3]], 0),   # self-loop first
+        ([[0, 1], [1, 0]], 1),                   # reversed pair
+        ([[0, 2], [0, 1]], 1),                   # unsorted
+        ([[0, 1], [0, 1]], 1),                   # duplicate
+        ([[0, 1], [1, 4]], 1),                   # endpoint past num_nodes
+        ([[-1, 1]], 0),                          # negative endpoint
+    ], ids=["self_loop", "reversed", "unsorted", "duplicate",
+            "out_of_range", "negative"])
+    def test_load_rejects_non_canonical_edges(self, tmp_path, edges, row):
+        path = tmp_path / "bad.npz"
+        np.savez(path, x=np.zeros((4, 2)), **{
+            "edges::good": np.array([[0, 1], [2, 3]]),
+            "edges::bad": np.array(edges)})
+        with pytest.raises(ValueError,
+                           match=rf"relation 'bad': edge row {row} "):
+            load_multiplex(path)
+
+    def test_load_rejects_float_edges(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        np.savez(path, x=np.zeros((4, 2)),
+                 **{"edges::bad": np.array([[0.0, 1.5]])})
+        with pytest.raises(ValueError, match="relation 'bad'.*integer"):
+            load_multiplex(path)
+
+    def test_load_accepts_canonical_and_empty_relations(self, tmp_path):
+        path = tmp_path / "ok.npz"
+        np.savez(path, x=np.zeros((4, 2)), **{
+            "edges::r": np.array([[0, 1], [0, 3], [1, 2]], dtype=np.int32),
+            "edges::empty": np.empty((0, 2), dtype=np.int64)})
+        graph, _ = load_multiplex(path)
+        assert graph["r"].edges.dtype == np.int64
+        assert graph["r"].degrees().tolist() == [2, 2, 1, 1]
+        assert graph["empty"].num_edges == 0
+
     def test_edge_list_roundtrip(self, tiny_relation, tmp_path):
         path = tmp_path / "edges.tsv"
         write_edge_list(path, tiny_relation)

@@ -25,10 +25,14 @@ def _fresh_cache():
 
 class TestReport:
     def test_single_section(self):
-        text = report.generate(MICRO, sections=["dataset statistics"])
+        text = report.generate(MICRO, sections=["Table I"])
         assert "# UMGAD reproduction report" in text
         assert "Table I" in text
         assert "Table II" not in text
+
+    def test_unknown_section_key_raises(self):
+        with pytest.raises(ValueError, match="dataset statistics"):
+            report.generate(MICRO, sections=["dataset statistics"])
 
     def test_multiple_sections(self):
         text = report.generate(MICRO, sections=["Fig. 4", "Fig. 5"])
@@ -39,7 +43,9 @@ class TestReport:
         code = report.main(["--profile", "fast", "--out", str(out),
                             "--only", "Table I"])
         assert code == 0
-        assert "Table I" in out.read_text()
+        text = out.read_text()
+        assert [line for line in text.splitlines()
+                if line.startswith("## ")] == ["## Table I — dataset statistics"]
 
 
 def _two_community_graph(n=120, f=12, seed=0):

@@ -219,6 +219,31 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="no stored scores"):
             load_checkpoint(stripped)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, checkpoint, tmp_path, bad):
+        """A NaN/inf weight with a matching checksum is still refused,
+        and the error names the parameter."""
+        from repro.serve.checkpoint import _payload_checksum
+
+        with np.load(checkpoint, allow_pickle=False) as archive:
+            payload = {name: archive[name] for name in archive.files}
+        name = next(key for key in sorted(payload)
+                    if key.startswith("param::")
+                    and payload[key].dtype.kind == "f")
+        weight = payload[name].copy()
+        weight.flat[weight.size // 2] = bad
+        payload[name] = weight
+        header = json.loads(str(payload[_HEADER_KEY]))
+        arrays = {k: v for k, v in payload.items() if k != _HEADER_KEY}
+        header["checksum"] = _payload_checksum(arrays)
+        payload[_HEADER_KEY] = np.array(json.dumps(header))
+        poisoned = tmp_path / "poisoned.npz"
+        np.savez_compressed(poisoned, **payload)
+        param = name[len("param::"):]
+        with pytest.raises(CheckpointError,
+                           match=rf"parameter '{param}' holds non-finite"):
+            load_checkpoint(poisoned)
+
     def test_version_mismatch(self, checkpoint, tmp_path):
         with np.load(checkpoint, allow_pickle=False) as archive:
             payload = {name: archive[name] for name in archive.files}

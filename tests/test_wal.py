@@ -278,6 +278,24 @@ class TestSnapshots:
         _graph2, meta = load_latest_snapshot(tmp_path)
         assert meta["record_seq"] == 1
 
+    def test_non_canonical_edges_treated_as_damaged(self, tmp_path, rng):
+        graph = self._graph(rng)
+        builder = IncrementalGraphBuilder.from_graph(graph)
+        for seq in (1, 2):
+            meta = snapshot_meta(builder, record_seq=seq, windows_scored=0,
+                                 events_consumed=0, alerts_raised=0,
+                                 pending=[])
+            save_snapshot(tmp_path, builder.snapshot(), meta)
+        newest = sorted(tmp_path.glob("snap-*.npz"))[-1]
+        with np.load(newest) as archive:
+            payload = {key: archive[key] for key in archive.files}
+        name = next(key for key in payload if key.startswith("edges::"))
+        payload[name] = payload[name][::-1].copy()      # unsorted rows
+        with open(newest, "wb") as handle:
+            np.savez(handle, **payload)
+        _graph2, meta = load_latest_snapshot(tmp_path)
+        assert meta["record_seq"] == 1
+
     def test_all_damaged_raises(self, tmp_path, rng):
         graph = self._graph(rng)
         builder = IncrementalGraphBuilder.from_graph(graph)
