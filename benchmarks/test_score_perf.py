@@ -64,17 +64,18 @@ def test_scoring_pass_timings(profile, output_dir, ledger):
     assert np.array_equal(cold.value, warm.value)
 
     # --- the stacked masked-group reconstruction stage --------------------
-    nets = model.networks
-    nets.eval()
+    # at score_graph's default float32, on its eval-mode weight copy
+    nets = model._inference_networks(np.float32)
+    x = graph.x.astype(np.float32)
+    weights = model._eval_fusion_weights(nets)
 
     def masked_stage():
-        model._rng = ensure_rng(0)
         with no_grad():
-            return model._masked_eval_recon(nets.attr, graph, {})
+            return model._masked_eval_recon(nets.attr, graph, x, weights,
+                                            ensure_rng(0), {})
 
     stage = measure_repeated(masked_stage, reps=REPS, warmup=1,
                              name="masked_stage")
-    nets.train()
     ledger.record_timing(stage)
 
     # --- serving a checkpoint against an unseen graph ---------------------
@@ -103,7 +104,7 @@ def test_scoring_pass_timings(profile, output_dir, ledger):
         f"  cold (new graph per rep)  {ms(cold)}",
         f"  warm (cached operators)   {ms(warm)}",
         "",
-        "masked-group reconstruction stage (GAT bank, "
+        "masked-group reconstruction stage (GAT bank, float32, "
         f"g={max(2, int(np.ceil(1.0 / model.config.mask_ratio)))} groups)",
         f"  stacked                   {ms(stage)}",
         "",

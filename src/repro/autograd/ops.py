@@ -60,22 +60,21 @@ def segment_add_data(data: np.ndarray, segment_ids: np.ndarray,
     ufunc machinery. Trailing feature axes are folded into the bin index
     (segment-major), which keeps per-(segment, feature) accumulation order
     intact. bincount only accumulates in float64, so any other input or
-    output dtype falls back to ``np.add.at`` to keep its rounding.
+    output dtype runs ``np.add.at`` over the same folded 1-D index (its
+    1-D loop is several times faster than the row-wise one, with the same
+    per-cell order and bits).
     """
     out_shape = (num_segments,) + data.shape[1:]
     dtype = data.dtype if dtype is None else np.dtype(dtype)
-    if data.dtype != np.float64 or dtype != np.float64:
-        out = np.zeros(out_shape, dtype=dtype)
-        np.add.at(out, segment_ids, data)
-        return out
     flat = np.ascontiguousarray(data.reshape(data.shape[0], -1))
     width = flat.shape[1]
-    if width == 1:
-        out = np.bincount(segment_ids, weights=flat[:, 0],
-                          minlength=num_segments)
+    folded = (segment_ids if width == 1 else
+              (segment_ids[:, None] * width
+               + np.arange(width, dtype=np.int64)[None, :]).ravel())
+    if data.dtype != np.float64 or dtype != np.float64:
+        out = np.zeros(num_segments * width, dtype=dtype)
+        np.add.at(out, folded, flat.ravel())
         return out.reshape(out_shape)
-    folded = (segment_ids[:, None] * width
-              + np.arange(width, dtype=np.int64)[None, :]).ravel()
     out = np.bincount(folded, weights=flat.ravel(),
                       minlength=num_segments * width)
     return out.reshape(out_shape)

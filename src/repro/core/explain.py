@@ -83,9 +83,13 @@ class AnomalyExplainer:
         cfg = model.config
         # no_grad: evidence gathering is pure inference — tape-free
         # forwards through the same grad-free engine scoring uses.
+        nets = model.networks
+        weights = model._eval_fusion_weights()
         with no_grad():
-            fused, _ = model._masked_eval_recon(model.networks.attr, graph)
-            _, per_rel = model._fused_eval_recon(model.networks.struct, graph)
+            fused, _ = model._masked_eval_recon(nets.attr, graph, graph.x,
+                                                weights, model._rng)
+            _, per_rel = model._fused_eval_recon(nets.struct, graph, graph.x,
+                                                 weights)
         self._fused = fused
         self._attr_err = attribute_errors(fused, graph.x,
                                           metric=cfg.attr_score_metric)

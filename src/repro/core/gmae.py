@@ -108,8 +108,9 @@ class GMAE(Module):
         return ops.set_rows(x, masked_nodes, self.mask_token)
 
     def encode(self, x: Tensor, graph: RelationGraph,
-               propagator: Optional[sp.spmatrix] = None) -> Tensor:
-        """Run the encoder stack over ``graph``'s structure."""
+               propagator: sp.spmatrix) -> Tensor:
+        """Run the encoder stack over ``graph``'s structure (SGC encoders
+        propagate with ``propagator``)."""
         h = x
         if self.kind == "gat":
             src, dst = graph.directed_pairs()
@@ -122,26 +123,26 @@ class GMAE(Module):
                 if i + 1 < len(self.encoder):
                     h = ops.elu(h)
         else:
-            prop = propagator if propagator is not None else graph.sym_propagator()
             for i, layer in enumerate(self.encoder):
-                h = layer(h, prop)
+                h = layer(h, propagator)
                 if i + 1 < len(self.encoder):
                     h = ops.elu(h)
         return h
 
-    def decode(self, hidden: Tensor, graph: RelationGraph,
-               propagator: Optional[sp.spmatrix] = None) -> Tensor:
+    def decode(self, hidden: Tensor, propagator: sp.spmatrix) -> Tensor:
         """Decode hidden states back to attribute space."""
-        prop = propagator if propagator is not None else graph.sym_propagator()
-        return self.decoder(hidden, prop)
+        return self.decoder(hidden, propagator)
 
     def forward(self, x: Tensor, graph: RelationGraph,
                 masked_nodes: Optional[np.ndarray] = None) -> Tensor:
-        """Full masked-autoencoding pass; returns reconstructed attributes."""
+        """Full masked-autoencoding pass; returns reconstructed attributes.
+
+        Both halves propagate with ``graph``'s operator in ``x``'s dtype.
+        """
         if masked_nodes is not None and masked_nodes.size:
             x = self.apply_mask(x, masked_nodes)
-        hidden = self.encode(x, graph)
-        return self.decode(hidden, graph)
+        prop = graph.sym_propagator(dtype=x.dtype)
+        return self.decode(self.encode(x, graph, prop), prop)
 
     # ------------------------------------------------------------------
     # Grad-free batched masked scoring
@@ -216,7 +217,7 @@ class GMAE(Module):
                           scatter=graph.gat_scatter(copies,
                                                     layer.add_self_loops))
         else:
-            prop = graph.block_propagator(copies)
+            prop = graph.block_propagator(copies, dtype=base.dtype)
             h = Tensor(hidden)
             for i, layer in enumerate(self.encoder):
                 if i == 0:
@@ -233,7 +234,7 @@ class GMAE(Module):
 
         # Decoder: full gemm + all-but-last full hops, then only the rows
         # each copy contributes (its mask group) through the final hop.
-        prop = graph.block_propagator(copies)
+        prop = graph.block_propagator(copies, dtype=base.dtype)
         weight = self.decoder.weight.data
         decoded = np.matmul(h.data, weight, out=_scratch(
             workspace, "decoded", (h.data.shape[0], weight.shape[1]),
@@ -247,8 +248,6 @@ class GMAE(Module):
         if self.decoder.bias is not None:
             rows = rows + self.decoder.bias.data
 
-        # Same dtype (and cast, for float32 graphs fed by the float64 GAT
-        # attention promotion) as the sequential path's per-relation buffer.
         out = np.zeros((n, base.shape[1]), dtype=base.dtype)
         out[np.concatenate(groups)] = rows
         return out

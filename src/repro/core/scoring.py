@@ -127,7 +127,7 @@ def structure_errors_exact(decoded: np.ndarray, graph: RelationGraph,
     """Mean absolute error between ``σ(z zᵀ)`` rows and adjacency rows."""
     n = graph.num_nodes
     z = decoded / (np.linalg.norm(decoded, axis=1, keepdims=True) + 1e-12)
-    adj = graph.adjacency()
+    adj = graph.adjacency(decoded.dtype)
     errors = np.empty(n, dtype=np.float64)
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
@@ -157,7 +157,7 @@ def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
     """
     n = graph.num_nodes
     z = decoded / (np.linalg.norm(decoded, axis=1, keepdims=True) + 1e-12)
-    adj = graph.adjacency()
+    adj = graph.adjacency(decoded.dtype)
 
     # Every row gather below writes into one of two preallocated (n, f)
     # buffers, in blocks of at most n rows, instead of allocating
@@ -165,7 +165,7 @@ def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
     # same either way, so the bits match (tests/test_grad_mode.py).
     # ``mode="clip"`` lets ``take`` write straight into ``out`` (the
     # default "raise" buffers it). It never changes a value: negative
-    # samples are drawn in [0, n), and ``graph.adjacency()`` above has
+    # samples are drawn in [0, n), and ``graph.adjacency`` above has
     # already rejected any edge endpoint outside [0, n).
     left = np.empty_like(z)
     right = np.empty_like(z)
@@ -200,10 +200,10 @@ def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
     rows = _query_rows(n, negatives_per_node, adj.indices.dtype)
     is_edge = _sample_adjacency(adj, rows, neg_idx.ravel()).reshape(
         n, negatives_per_node)
-    # back to (n, q), in the promoted dtype of ``pred - is_edge``, so
-    # the row sums keep their reduction order
-    neg_pred = logits.T.astype(np.result_type(logits, is_edge),
-                               order="C")
+    # back to (n, q) in float64, the dtype the positive errors' bincount
+    # accumulates in, whatever the pass dtype; the row sums keep their
+    # reduction order
+    neg_pred = logits.T.astype(np.float64, order="C")
     np.subtract(neg_pred, is_edge, out=neg_pred)
     np.abs(neg_pred, out=neg_pred)
     neg_err = neg_pred.sum(axis=1)

@@ -51,20 +51,49 @@ def _tile_indptr(indptr: np.ndarray, copies: int) -> np.ndarray:
                            nnz * copies])
 
 
-def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
+def _value_dtype(dtype) -> np.dtype:
+    """An operator's value dtype: ``dtype``, or the autograd default."""
+    if dtype is None:
+        from ..autograd.tensor import get_default_dtype
+
+        dtype = get_default_dtype()
+    return np.dtype(dtype)
+
+
+def _edge_array(edges, name: str) -> np.ndarray:
+    """``edges`` as an array, if it is an integer ``(E, 2)`` array.
+
+    Raises :class:`ValueError` naming relation ``name`` otherwise, so
+    triples, flat lists and fractional ids are refused rather than
+    reinterpreted. Empty input of any shape is the empty edge list.
+    """
+    edges = np.asarray(edges)
+    if edges.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if (edges.ndim != 2 or edges.shape[1] != 2
+            or not np.issubdtype(edges.dtype, np.integer)):
+        raise ValueError(f"relation {name!r}: edges must be an integer "
+                         f"(E, 2) array, got {edges.dtype} {edges.shape}")
+    return edges.astype(np.int64, copy=False)
+
+
+def canonical_edges(edges: np.ndarray, num_nodes: int,
+                    name: str = "rel") -> np.ndarray:
     """Deduplicate an ``(E, 2)`` edge array into canonical undirected form.
 
     Self-loops are dropped (propagators add their own), duplicates and
     reversed duplicates collapse to one entry, and the result is sorted for
-    deterministic downstream sampling.
+    deterministic downstream sampling. Anything but an integer ``(E, 2)``
+    array (or an empty one) raises :class:`ValueError` naming relation
+    ``name``.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = _edge_array(edges, name)
     if edges.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
+        return edges
     if edges.min() < 0 or edges.max() >= num_nodes:
         raise ValueError(
-            f"edge endpoints out of range [0, {num_nodes}): "
-            f"min={edges.min()}, max={edges.max()}"
+            f"relation {name!r}: edge endpoints out of range "
+            f"[0, {num_nodes}): min={edges.min()}, max={edges.max()}"
         )
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
@@ -85,13 +114,7 @@ def check_canonical(edges, num_nodes: int, name: str) -> np.ndarray:
     duplicates). Raises :class:`ValueError` naming relation ``name`` and
     the first offending row otherwise.
     """
-    edges = np.asarray(edges)
-    if (edges.ndim != 2 or edges.shape[1] != 2
-            or not (edges.size == 0 or np.issubdtype(edges.dtype,
-                                                     np.integer))):
-        raise ValueError(f"relation {name!r}: edges must be an integer "
-                         f"(E, 2) array, got {edges.dtype} {edges.shape}")
-    edges = edges.astype(np.int64, copy=False)
+    edges = _edge_array(edges, name)
     u, v = edges[:, 0], edges[:, 1]
     bad = (u < 0) | (u >= v) | (v >= num_nodes)
     keys = u * num_nodes + v
@@ -126,12 +149,16 @@ class RelationGraph:
         if validated:
             self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         else:
-            self.edges = canonical_edges(edges, self.num_nodes)
-        self._adj: Optional[sp.csr_matrix] = None
-        self._sym_prop: dict = {}
+            self.edges = canonical_edges(edges, self.num_nodes, name)
+        # Operator caches are keyed by value dtype: a float32 scoring pass
+        # and a float64 fit of the same graph each get their own operator,
+        # whichever touched the graph first.
+        self._adj: Dict[np.dtype, sp.csr_matrix] = {}
+        self._sym_prop: Dict[Tuple[bool, np.dtype], sp.csr_matrix] = {}
         self._degrees: Optional[np.ndarray] = None
         self._directed: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._block_props: Dict[Tuple[int, bool], sp.csr_matrix] = {}
+        self._block_props: Dict[Tuple[int, bool, np.dtype],
+                                sp.csr_matrix] = {}
         self._gat_scatters: Dict[Tuple[int, bool], GATScatter] = {}
 
     # ------------------------------------------------------------------
@@ -156,21 +183,25 @@ class RelationGraph:
                 self._directed = (src, dst)
         return self._directed
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric binary adjacency matrix (cached CSR)."""
-        if self._adj is None:
-            from ..autograd.tensor import get_default_dtype
+    def adjacency(self, dtype=None) -> sp.csr_matrix:
+        """Symmetric binary adjacency matrix (cached CSR per ``dtype``).
 
+        ``dtype`` defaults to the autograd default dtype; scoring passes
+        name theirs explicitly.
+        """
+        dtype = _value_dtype(dtype)
+        adj = self._adj.get(dtype)
+        if adj is None:
             src, dst = self.directed_pairs()
-            data = np.ones(len(src), dtype=get_default_dtype())
             adj = sp.csr_matrix(
-                (data, (src, dst)), shape=(self.num_nodes, self.num_nodes)
+                (np.ones(len(src), dtype=dtype), (src, dst)),
+                shape=(self.num_nodes, self.num_nodes)
             )
             # Symmetric: the spmm backward operator is the matrix itself,
             # so flag it once here instead of transposing per backward pass.
             adj._spmm_transpose = adj
-            self._adj = adj
-        return self._adj
+            self._adj[dtype] = adj
+        return adj
 
     def degrees(self) -> np.ndarray:
         """Undirected node degrees."""
@@ -181,7 +212,8 @@ class RelationGraph:
             self._degrees = deg
         return self._degrees
 
-    def sym_propagator(self, add_self_loops: bool = True) -> sp.csr_matrix:
+    def sym_propagator(self, add_self_loops: bool = True,
+                       dtype=None) -> sp.csr_matrix:
         """``D^{-1/2} (A [+ I]) D^{-1/2}`` — the GCN/SGC propagation operator.
 
         Assembled directly as canonical CSR from the cached adjacency
@@ -192,14 +224,16 @@ class RelationGraph:
         the same order, as the two scipy products ``D^-1/2 @ A @ D^-1/2``,
         without building either intermediate. Degree-0 rows (isolated
         nodes without self-loops) get ``inv_sqrt = 0`` and store nothing,
-        so no ``inf``/``NaN`` can appear.
+        so no ``inf``/``NaN`` can appear. Cached per ``(add_self_loops,
+        dtype)``; ``dtype`` as in :meth:`adjacency`.
         """
-        key = bool(add_self_loops)
+        dtype = _value_dtype(dtype)
+        key = (bool(add_self_loops), dtype)
         if key not in self._sym_prop:
             with span("propagator.build") as sp_:
                 sp_.set("kind", "sym")
                 sp_.set("relation", self.name)
-                adj = self.adjacency()
+                adj = self.adjacency(dtype)
                 n = self.num_nodes
                 nodes = np.arange(n, dtype=adj.indices.dtype)
                 counts = np.diff(adj.indptr)
@@ -235,27 +269,28 @@ class RelationGraph:
                 self._sym_prop[key] = prop
         return self._sym_prop[key]
 
-    def block_propagator(self, copies: int,
-                         add_self_loops: bool = True) -> sp.csr_matrix:
+    def block_propagator(self, copies: int, add_self_loops: bool = True,
+                         dtype=None) -> sp.csr_matrix:
         """Block-diagonal stack of ``copies`` × :meth:`sym_propagator`.
 
         The grad-free scoring engine runs the ``g`` disjoint mask groups of
         a masked evaluation as one stacked ``(g·n, f)`` forward; this is
         the matching ``(g·n, g·n)`` propagation operator, built and cached
-        once per ``(copies, add_self_loops)`` alongside the other operator
-        caches. It is tiled from the single-copy propagator's arrays, so
-        each block's CSR rows are byte-identical to it and one wide spmm
-        reproduces ``g`` narrow ones bitwise.
+        once per ``(copies, add_self_loops, dtype)`` alongside the other
+        operator caches. It is tiled from the single-copy propagator's
+        arrays, so each block's CSR rows are byte-identical to it and one
+        wide spmm reproduces ``g`` narrow ones bitwise.
         """
         if copies == 1:
-            return self.sym_propagator(add_self_loops)
-        key = (int(copies), bool(add_self_loops))
+            return self.sym_propagator(add_self_loops, dtype)
+        dtype = _value_dtype(dtype)
+        key = (int(copies), bool(add_self_loops), dtype)
         if key not in self._block_props:
             with span("propagator.build") as sp_:
                 sp_.set("kind", "block")
                 sp_.set("relation", self.name)
                 sp_.set("copies", int(copies))
-                base = self.sym_propagator(add_self_loops)
+                base = self.sym_propagator(add_self_loops, dtype)
                 copies = int(copies)
                 n = self.num_nodes
                 indptr, indices = base.indptr, base.indices
@@ -333,15 +368,10 @@ class RelationGraph:
 
         entries = 0
         total = 0
-        if self._adj is not None:
-            entries += 1
-            total += _csr_bytes(self._adj)
-        for prop in self._sym_prop.values():
-            entries += 1
-            total += _csr_bytes(prop)
-        for prop in self._block_props.values():
-            entries += 1
-            total += _csr_bytes(prop)
+        for cache in (self._adj, self._sym_prop, self._block_props):
+            for matrix in cache.values():
+                entries += 1
+                total += _csr_bytes(matrix)
         for scatter in self._gat_scatters.values():
             entries += 1
             total += int(scatter.indptr.nbytes + scatter.indices.nbytes
@@ -370,7 +400,8 @@ class RelationGraph:
 
     def add_edges(self, new_edges: np.ndarray) -> "RelationGraph":
         """New graph with ``new_edges`` unioned in (re-canonicalised)."""
-        combined = np.concatenate([self.edges, np.asarray(new_edges, dtype=np.int64).reshape(-1, 2)])
+        combined = np.concatenate([self.edges,
+                                   _edge_array(new_edges, self.name)])
         return RelationGraph(self.num_nodes, combined, name=self.name)
 
     def neighbors(self, node: int) -> np.ndarray:

@@ -145,12 +145,14 @@ class GATConv(Module):
     def inference_forward(self, x, scatter) -> Tensor:
         """Tape-free forward over a pre-built scatter structure.
 
-        Bitwise-identical to :meth:`forward`: every elementwise step runs
-        the same numpy calls on the same shapes, and the per-edge
+        In float64, bitwise-identical to :meth:`forward`: every elementwise
+        step runs the same numpy calls on the same shapes, and the per-edge
         gather × attention × scatter-add message reduction is replaced by
         one CSR product per head whose per-row stored order equals the
         scatter-add accumulation order (see
-        :meth:`~repro.graphs.graph.RelationGraph.gat_scatter`). Inference
+        :meth:`~repro.graphs.graph.RelationGraph.gat_scatter`). Other
+        dtypes stay in their own precision throughout, where
+        :meth:`forward` promotes float32 attention to float64. Inference
         only — nothing is recorded on the tape.
         """
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
@@ -189,15 +191,9 @@ class GATConv(Module):
         # land directly in the CSR's stored order.
         src_s, dst_s = scatter.indices, scatter.dst_sorted
         logits = alpha_src[src_s] + alpha_dst[dst_s]
-        if logits.dtype == np.float64:
-            # one pass instead of where()+mul; x * 1.0 == x exactly
-            logits = np.where(logits > 0, logits,
-                              logits * self.negative_slope)
-        else:
-            # float32 inputs: the recording path's float64 `scale` promotes,
-            # so reproduce the promotion
-            scale = np.where(logits > 0, 1.0, self.negative_slope)
-            logits = logits * scale
+        # one pass instead of where()+mul (x * 1.0 == x exactly); the
+        # Python-float slope keeps float32 logits in float32
+        logits = np.where(logits > 0, logits, logits * self.negative_slope)
 
         seg_max = np.full((n, self.heads), -np.inf, dtype=logits.dtype)
         if self.heads == 1:
@@ -209,8 +205,6 @@ class GATConv(Module):
         denom = ops.segment_add_data(expd, dst_s, n)
         att = expd / np.maximum(denom[dst_s], 1e-30)
 
-        # match the recording path's promotion (float32 hidden states meet
-        # the float64 attention produced by the leaky-ReLU scale above)
         out = np.empty((n, self.heads, self.out_features),
                        dtype=np.result_type(att.dtype, h.dtype))
         for head in range(self.heads):

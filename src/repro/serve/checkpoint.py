@@ -203,8 +203,9 @@ def checkpoint_payload(detector: BaseDetector,
             if trained_dtype is None and prior.get("dtype"):
                 trained_dtype = prior["dtype"]
 
-    # Informational: the precision the model was trained at (NOT the
-    # scores' dtype — the scoring pipeline upcasts to float64). Payload
+    # Informational: the precision the model was trained at, NOT the
+    # scoring precision (score_graph takes that as an argument, and
+    # scores always come back float64). Payload
     # arrays carry their own dtypes through np.savez and load_state_dict
     # preserves them, so float32 models round-trip at float32; recorded
     # here so serving can adopt the right precision without opening the

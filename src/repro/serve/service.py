@@ -146,14 +146,15 @@ class DetectorService:
         self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
         # Reentrant: threshold/explain helpers take it while _entry holds it.
         self._lock = threading.RLock()
-        # Serialises fresh scoring passes. score_graph() swaps the
-        # detector's RNG for the duration of a pass, so two concurrent
-        # passes on the same detector (distinct fingerprints — dog-pile
-        # dedup only collapses identical ones) would race it and score
-        # nondeterministically. One pass at a time keeps every result
-        # bitwise reproducible; scaling distinct-fingerprint load is the
-        # process tier's job (repro.pool), where each worker process owns
-        # a private detector.
+        # Serialises fresh scoring passes (distinct fingerprints — dog-pile
+        # dedup only collapses identical ones). UMGAD's pass no longer
+        # writes detector state (its generator, precision and eval-mode
+        # networks are explicit), but the graph's operator caches still
+        # fill lazily without a guard, and the gate has not been priced
+        # against the process tier yet. One pass at a time keeps every
+        # result bitwise reproducible; scaling distinct-fingerprint load
+        # is the process tier's job (repro.pool), where each worker
+        # process owns a private detector.
         self._score_gate = threading.Lock()
         self._inflight: dict = {}
         # Bumped by replace_detector so stale scoring passes never cache.

@@ -63,20 +63,13 @@ def graph_from_payload(payload: dict) -> MultiplexGraph:
     edge_dict: Dict[str, np.ndarray] = {}
     for name, edges in relations.items():
         try:
-            array = np.asarray(edges, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
+            edge_dict[str(name)] = np.asarray(edges)
+        except (TypeError, ValueError) as exc:   # ragged lists
             raise ProtocolError(
                 f"relation {name!r}: edge list is not an (E, 2) integer "
                 f"array: {exc}") from None
-        if array.size == 0:
-            array = array.reshape(0, 2)
-        elif array.ndim != 2 or array.shape[1] != 2:
-            # No silent reshape: [u, v, w] triples or flat lists would
-            # otherwise be reinterpreted as different edge pairs.
-            raise ProtocolError(
-                f"relation {name!r}: edge list must be [[u, v], ...] "
-                f"pairs, got shape {array.shape}")
-        edge_dict[str(name)] = array
+    # from_edge_dict refuses anything but integer [[u, v], ...] pairs, so
+    # triples, flat lists and fractional ids are never reinterpreted
     try:
         return from_edge_dict(num_nodes, edge_dict, attrs)
     except (ValueError, IndexError) as exc:

@@ -134,8 +134,8 @@ class IncrementalGraphBuilder:
             arr[:count] = edges
             self._arr[name] = arr
             self._count[name] = count
-            self._pos[name] = {(int(u), int(v)): i
-                               for i, (u, v) in enumerate(edges)}
+            self._pos[name] = dict(zip(map(tuple, edges.tolist()),
+                                       range(count)))
 
     # ------------------------------------------------------------------
     # Read access

@@ -225,6 +225,10 @@ class WriteAheadLog:
         self.last_seq = 0
         #: per-segment highest seq, in segment order (drives pruning)
         self._segment_last_seq: Dict[pathlib.Path, int] = {}
+        #: intact segments as _open_tail parsed them, handed to the first
+        #: replay (recovery replays right after opening) unless an append
+        #: changes the log first
+        self._opened: Dict[pathlib.Path, _Segment] = {}
         self._handle = None
         self._open_tail()
 
@@ -238,6 +242,8 @@ class WriteAheadLog:
         for index, path in enumerate(segments):
             last = index == len(segments) - 1
             parsed = _read_segment(path, last_segment=last)
+            if parsed.torn_offset is None:
+                self._opened[path] = parsed
             if parsed.base_seq is not None:
                 # Pruning deletes leading segments, so the first surviving
                 # base may start anywhere; every later segment must chain.
@@ -307,6 +313,7 @@ class WriteAheadLog:
         record = {"seq": seq, "kind": str(kind), **payload}
         body = json.dumps(record, separators=(",", ":")).encode()
         frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
+        self._opened.clear()
         if self._handle.tell() + len(frame) > self.segment_bytes:
             self._rotate()
         self._handle.write(frame)
@@ -327,6 +334,7 @@ class WriteAheadLog:
         whose :meth:`append` returned.
         """
         self.flush()
+        opened, self._opened = self._opened, {}
         last_seq = after_seq
         segments = self._segments()
         first_read = True
@@ -334,8 +342,8 @@ class WriteAheadLog:
             if self._segment_last_seq.get(path, after_seq + 1) <= after_seq:
                 # Every record here is already covered by the snapshot.
                 continue
-            parsed = _read_segment(path,
-                                   last_segment=index == len(segments) - 1)
+            parsed = opened.get(path) or _read_segment(
+                path, last_segment=index == len(segments) - 1)
             if first_read and parsed.base_seq is not None \
                     and parsed.base_seq > after_seq:
                 raise WalCorruptionError(

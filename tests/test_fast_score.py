@@ -11,7 +11,12 @@ while asserting that the engine agreed with that path bit for bit:
   sampled structure kernel, the estimator the large-graph path runs;
 * ``umgad_random`` — a 3-relation, 2-layer-encoder random multiplex in
   sampled mode, and a float32 run;
-* ``baselines`` — a sample of baselines.
+* ``baselines`` — a sample of baselines;
+* ``score_graph`` — ``UMGAD.score_graph`` of graphs the model was not fit
+  on, at both precisions of the inference pass. The ``float64`` entries
+  were recorded from ``score_graph`` as it stood before the pass took a
+  ``dtype`` (it then always ran at the weights' float64), the
+  ``float32`` entries from the float32 default.
 
 So matching the fixture is the engine's parity contract with the seed
 behaviour; there is no second scoring path to compare against.
@@ -27,7 +32,7 @@ from repro.baselines import make_baseline
 from repro.core import UMGAD, UMGADConfig
 from repro.core.config import ablation_config
 from repro.datasets import load_dataset
-from repro.graphs import random_multiplex
+from repro.graphs import MultiplexGraph, RelationGraph, random_multiplex
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "score_parity.json"
 
@@ -133,3 +138,219 @@ class TestServingParity:
 
         served = DetectorService(path).scores(fresh).copy()
         assert np.array_equal(served, model.score_graph(fresh))
+
+
+@pytest.fixture(scope="module")
+def score_graph_cases(parity, parity_dataset):
+    """``name -> (model, unseen graph)`` behind the ``score_graph`` pins."""
+    graph = parity_dataset.graph
+    fresh = random_multiplex(graph.num_nodes, graph.num_relations,
+                             graph.num_features, np.random.default_rng(77),
+                             avg_degree=3.0)
+    cases = {
+        "exact": (UMGAD(UMGADConfig(epochs=3, seed=0)).fit(graph), fresh),
+        "sampled": (UMGAD(UMGADConfig(
+            epochs=3, seed=0, structure_score_mode="sampled")).fit(graph),
+            fresh),
+    }
+    train = random_multiplex(70, 3, 8, np.random.default_rng(9),
+                             avg_degree=4.0)
+    cfg = UMGADConfig(epochs=3, seed=1, encoder_layers=2,
+                      structure_score_mode="sampled")
+    cases["two_layer"] = (UMGAD(cfg).fit(train), random_multiplex(
+        70, 3, 8, np.random.default_rng(78), avg_degree=4.0))
+    assert set(cases) == set(parity["score_graph"]["float64"])
+    return cases
+
+
+def _top(scores, k):
+    return np.argsort(-scores, kind="stable")[:k]
+
+
+class TestScoreGraphPrecision:
+    """The inference pass's precision contract: float64 reproduces the
+    pre-``dtype`` pass, float32 (the default) agrees with it to 1e-6 and
+    ranks the top nodes identically."""
+
+    #: ranks compared between the precisions; every pinned case's top-11
+    #: scores are ≥ 1.9e-5 apart, far beyond float32 rounding
+    TOP_K = 10
+
+    @pytest.mark.parametrize("case", ["exact", "sampled", "two_layer"])
+    def test_float64_pass_matches_pin(self, case, parity, score_graph_cases):
+        model, graph = score_graph_cases[case]
+        scores = model.score_graph(graph, dtype=np.float64)
+        pinned = parity["score_graph"]["float64"][case]
+        assert scores.tolist() == pytest.approx(pinned, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["exact", "sampled", "two_layer"])
+    def test_float32_default_matches_pin(self, case, parity,
+                                         score_graph_cases):
+        model, graph = score_graph_cases[case]
+        scores = model.score_graph(graph)
+        assert scores.dtype == np.float64
+        # float32 BLAS rounding varies across CPUs: float32 resolution
+        pinned = parity["score_graph"]["float32"][case]
+        assert scores.tolist() == pytest.approx(pinned, rel=1e-5, abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["exact", "sampled", "two_layer"])
+    def test_float32_ranks_like_float64(self, case, score_graph_cases):
+        model, graph = score_graph_cases[case]
+        narrow = model.score_graph(graph)
+        wide = model.score_graph(graph, dtype=np.float64)
+        assert not np.array_equal(narrow, wide)   # really ran in float32
+        assert np.abs(narrow - wide).max() <= 1e-6
+        assert np.array_equal(_top(narrow, self.TOP_K),
+                              _top(wide, self.TOP_K))
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pass_arrays_stay_in_dtype(self, dtype, monkeypatch,
+                                       score_graph_cases):
+        """No upcast: every reconstruction the error terms see, and every
+        operator the pass builds, is in the pass dtype."""
+        import repro.core.model as model_mod
+
+        seen = set()
+        for name in ("attribute_errors", "structure_errors"):
+            real = getattr(model_mod, name)
+
+            def spy(first, *args, _real=real, **kwargs):
+                seen.add(first.dtype)
+                return _real(first, *args, **kwargs)
+
+            monkeypatch.setattr(model_mod, name, spy)
+        model, _ = score_graph_cases["two_layer"]
+        fresh = random_multiplex(70, 3, 8, np.random.default_rng(78),
+                                 avg_degree=4.0)
+        model.score_graph(fresh, dtype=dtype)
+        assert seen == {np.dtype(dtype)}
+        for _, rel in fresh:
+            assert {m.dtype for m in rel._sym_prop.values()} == {
+                np.dtype(dtype)}
+
+
+class TestScoreGraphIgnoresGlobalDtype:
+    """The pass takes its precision from ``dtype`` alone: it never reads
+    (or sets) the autograd default dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_under_either_global(self, dtype):
+        from repro.autograd import get_default_dtype, set_default_dtype
+
+        rng = np.random.default_rng(12)
+        model = UMGAD(UMGADConfig(epochs=2, seed=0)).fit(
+            random_multiplex(50, 2, 6, rng, avg_degree=3.0))
+        base = random_multiplex(50, 2, 6, rng, avg_degree=3.0)
+        assert base.x.dtype == np.float64
+        results = []
+        previous = get_default_dtype()
+        try:
+            for global_dtype in (np.float32, np.float64):
+                set_default_dtype(global_dtype)
+                # the same float64 graph with empty operator caches, so
+                # every operator is built under this global
+                graph = MultiplexGraph(x=base.x, relations={
+                    name: RelationGraph(rel.num_nodes, rel.edges, name=name,
+                                        validated=True)
+                    for name, rel in base})
+                graph.x = base.x   # undo the constructor's coercion
+                results.append(model.score_graph(graph, dtype=dtype))
+                assert get_default_dtype() == global_dtype
+        finally:
+            set_default_dtype(previous)
+        assert results[0].tobytes() == results[1].tobytes()
+
+    def test_fit_built_float64_operators_do_not_leak_into_float32_pass(
+            self):
+        def graph():
+            return random_multiplex(60, 2, 6, np.random.default_rng(14),
+                                    avg_degree=3.0)
+
+        trained = graph()
+        model = UMGAD(UMGADConfig(epochs=2, seed=0)).fit(trained)
+        assert all(rel.cache_info()["entries"] for _, rel in trained)
+        # the fitted graph, float64 operators cached, against an identical
+        # graph whose caches are empty
+        scores = model.score_graph(trained)
+        assert scores.tobytes() == model.score_graph(graph()).tobytes()
+        assert not np.array_equal(scores,
+                                  model.score_graph(trained,
+                                                    dtype=np.float64))
+        for _, rel in trained:
+            assert rel.sym_propagator(dtype=np.float32).dtype == np.float32
+            assert rel.sym_propagator(dtype=np.float64).dtype == np.float64
+
+
+class TestInferenceNetworks:
+    def test_weight_changes_reach_the_cast_copy(self):
+        rng = np.random.default_rng(15)
+        graph = random_multiplex(40, 2, 6, rng, avg_degree=3.0)
+        other = random_multiplex(40, 2, 6, rng, avg_degree=3.0)
+        first = UMGAD(UMGADConfig(epochs=2, seed=0)).fit(graph)
+        second = UMGAD(UMGADConfig(epochs=2, seed=1)).fit(graph)
+        before = first.score_graph(other, seed=5)
+        first.load_state_dict(second.state_dict())
+        after = first.score_graph(other, seed=5)
+        assert np.array_equal(after, second.score_graph(other, seed=5))
+        assert not np.array_equal(before, after)
+        first.fit(graph)   # same seed: back to the original weights
+        assert np.array_equal(first.score_graph(other, seed=5), before)
+
+    def test_cast_copy_leaves_live_networks_alone(self):
+        rng = np.random.default_rng(16)
+        graph = random_multiplex(40, 2, 6, rng, avg_degree=3.0)
+        model = UMGAD(UMGADConfig(epochs=2, seed=0)).fit(graph)
+        state = model.state_dict()
+        model.score_graph(graph)
+        assert model.networks.training
+        assert all(value.dtype == np.float64
+                   for value in model.state_dict().values())
+        assert all(np.array_equal(state[name], value)
+                   for name, value in model.state_dict().items())
+
+
+
+class TestConcurrentCacheFills:
+    def test_racing_threads_fill_each_cache_consistently(self):
+        """The inference pass's lazy caches — the cast weight copy and the
+        graph's per-dtype operators — fill without a lock: racing threads
+        may build twice, but every caller gets an equal value, and the
+        model hands all of them one weight copy."""
+        import sys
+        import threading
+
+        rng = np.random.default_rng(17)
+        model = UMGAD(UMGADConfig(epochs=2, seed=0)).fit(
+            random_multiplex(60, 2, 6, rng, avg_degree=3.0))
+        model.load_state_dict(model.state_dict())   # empty the cast cache
+        rel = random_multiplex(60, 2, 6, rng, avg_degree=3.0)["rel0"]
+        nets, props, errors = [], [], []
+        barrier = threading.Barrier(8)
+
+        def work():
+            try:
+                barrier.wait(timeout=30)
+                nets.append(model._inference_networks(np.float32))
+                props.append(rel.block_propagator(3, dtype=np.float32))
+            except Exception as exc:   # surfaced by the assert below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len({id(n) for n in nets}) == 1
+        assert nets[0] is model._inference_networks(np.float32)
+        reference = rel.block_propagator(3, dtype=np.float32)
+        for prop in props:
+            assert prop.dtype == np.float32
+            assert (prop != reference).nnz == 0

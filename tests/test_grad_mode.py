@@ -257,6 +257,26 @@ class TestGATInferenceKernelParity:
         assert np.array_equal(recorded.data, fast.data)
         assert np.array_equal(recorded.data, dispatched.data)
 
+    @pytest.mark.parametrize("heads,concat", [(1, False), (2, True)])
+    def test_float32_inference_stays_float32(self, heads, concat):
+        """float32 in, float32 out: leaky-ReLU and softmax run in the
+        input dtype (the recording path promotes its attention to
+        float64, so the kernel matches it only to float32 resolution)."""
+        rng = np.random.default_rng(14)
+        graph = _graph(rng, n=50)
+        layer = GATConv(8, 6, rng, heads=heads, concat_heads=concat)
+        wide = rng.normal(size=(50, 8))
+        with no_grad():
+            reference = layer.inference_forward(
+                wide, graph.gat_scatter(1, layer.add_self_loops)).data
+            for param in layer.parameters():
+                param.data = param.data.astype(np.float32)
+            narrow = layer.inference_forward(
+                wide.astype(np.float32),
+                graph.gat_scatter(1, layer.add_self_loops)).data
+        assert narrow.dtype == np.float32
+        np.testing.assert_allclose(narrow, reference, rtol=1e-5, atol=1e-6)
+
     def test_scatter_ignored_while_recording(self):
         rng = np.random.default_rng(12)
         graph = _graph(rng, n=30)

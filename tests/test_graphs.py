@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs import MultiplexGraph, RelationGraph, canonical_edges, random_multiplex
+from repro.autograd import get_default_dtype, set_default_dtype
+from repro.graphs import (MultiplexGraph, RelationGraph, canonical_edges,
+                          from_edge_dict, random_multiplex)
 
 
 class TestCanonicalEdges:
@@ -24,6 +26,40 @@ class TestCanonicalEdges:
         with pytest.raises(ValueError, match="out of range"):
             canonical_edges(np.array([[0, 9]]), 5)
 
+    @pytest.mark.parametrize("edges", [
+        [[0, 1, 2], [3, 4, 0]],   # triples: once read as [[0,1],[0,4],[2,3]]
+        [[0.7, 2.9]],             # fractional ids: once truncated to [[0,2]]
+        [0, 1, 2, 3],             # flat list: once read as two edges
+        [[[0, 1]], [[2, 3]]],     # 3-D
+        [[True, False]],          # booleans are not node ids
+    ], ids=["triples", "fractional", "flat", "3d", "bool"])
+    def test_malformed_edge_arrays_are_rejected(self, edges):
+        with pytest.raises(ValueError, match="relation 'buys'.*integer"):
+            canonical_edges(edges, 5, name="buys")
+        with pytest.raises(ValueError, match="relation 'buys'.*integer"):
+            RelationGraph(5, edges, name="buys")
+        with pytest.raises(ValueError, match="relation 'buys'.*integer"):
+            from_edge_dict(5, {"buys": edges}, np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="relation 'buys'.*integer"):
+            RelationGraph(5, [[0, 1]], name="buys").add_edges(edges)
+
+    @pytest.mark.parametrize("edges", [[], [[]], np.empty((0, 2)),
+                                       np.empty(0, dtype=np.int32)])
+    def test_empty_input_of_any_shape_stays_valid(self, edges):
+        assert canonical_edges(edges, 4).shape == (0, 2)
+        assert RelationGraph(4, edges).num_edges == 0
+
+    def test_integer_dtypes_and_lists_are_accepted(self):
+        expected = [[0, 1], [2, 3]]
+        for edges in ([[1, 0], [2, 3]], np.array([[1, 0], [2, 3]], np.int32),
+                      np.array([[1, 0], [2, 3]], np.uint8)):
+            np.testing.assert_array_equal(canonical_edges(edges, 5),
+                                          expected)
+
+    def test_out_of_range_names_the_relation(self):
+        with pytest.raises(ValueError, match="relation 'buys'.*out of range"):
+            RelationGraph(5, [[0, 9]], name="buys")
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 40), st.integers(0, 10_000))
     def test_property_canonical(self, n, seed):
@@ -35,6 +71,54 @@ class TestCanonicalEdges:
             keys = out[:, 0] * n + out[:, 1]
             assert len(np.unique(keys)) == len(keys)        # unique
             assert np.all(np.diff(keys) > 0)                # sorted
+
+
+class TestOperatorCachesByDtype:
+    """Each operator is cached per value dtype, so its dtype no longer
+    depends on which caller touched the graph first."""
+
+    @staticmethod
+    def _relation():
+        rng = np.random.default_rng(3)
+        return RelationGraph(30, rng.integers(0, 30, size=(60, 2)))
+
+    def test_each_dtype_gets_its_own_operators(self):
+        rel = self._relation()
+        narrow = rel.sym_propagator(dtype=np.float32)
+        wide = rel.sym_propagator(dtype=np.float64)
+        assert narrow.dtype == np.float32 and wide.dtype == np.float64
+        assert rel.sym_propagator(dtype=np.float32) is narrow
+        np.testing.assert_allclose(narrow.toarray(), wide.toarray(),
+                                   rtol=1e-6)
+        assert rel.adjacency(np.float32).dtype == np.float32
+        assert rel.block_propagator(3, dtype=np.float32).dtype == np.float32
+        # a float32 block is tiled from the float32 single copy
+        block = rel.block_propagator(3, dtype=np.float32)
+        np.testing.assert_array_equal(block.data,
+                                      np.tile(narrow.data, 3))
+
+    def test_first_caller_does_not_fix_the_dtype(self):
+        rel = self._relation()
+        previous = get_default_dtype()
+        try:
+            set_default_dtype(np.float32)
+            assert rel.adjacency().dtype == np.float32
+            assert rel.sym_propagator().dtype == np.float32
+            set_default_dtype(np.float64)
+            assert rel.adjacency().dtype == np.float64
+            assert rel.sym_propagator().dtype == np.float64
+        finally:
+            set_default_dtype(previous)
+        # two adjacencies, two propagators and the directed edge pairs
+        assert rel.cache_info()["entries"] == 5
+
+    def test_float32_build_matches_float64_structure(self):
+        rel = self._relation()
+        for loops in (True, False):
+            narrow = rel.sym_propagator(loops, np.float32)
+            wide = rel.sym_propagator(loops, np.float64)
+            np.testing.assert_array_equal(narrow.indptr, wide.indptr)
+            np.testing.assert_array_equal(narrow.indices, wide.indices)
 
 
 class TestRelationGraph:

@@ -79,6 +79,8 @@ class TestProtocol:
         # reinterpreted as a different set of (u, v) pairs
         {"x": [[1.0]] * 6, "relations": {"a": [[0, 1, 2], [3, 4, 5]]}},
         {"x": [[1.0]] * 4, "relations": {"a": [0, 1, 2, 3]}},
+        {"x": [[1.0]] * 4, "relations": {"a": [[0.7, 2.9]]}},  # not ids
+        {"x": [[1.0]] * 4, "relations": {"a": [[0, 1], [2]]}},  # ragged
     ])
     def test_malformed_graph_payloads(self, payload):
         with pytest.raises(ProtocolError):

@@ -96,6 +96,28 @@ class TestFraming:
                            fsync=False) as wal:
             assert wal.last_seq == 40
 
+    def test_first_replay_reuses_the_open_scan(self, tmp_path, monkeypatch):
+        from repro.stream import wal as wal_mod
+
+        with WriteAheadLog(tmp_path, segment_bytes=1024,
+                           fsync=False) as wal:
+            _fill(wal, 40)
+        reads = []
+        real = wal_mod._read_segment
+        monkeypatch.setattr(wal_mod, "_read_segment",
+                            lambda path, **kw: reads.append(path)
+                            or real(path, **kw))
+        with WriteAheadLog(tmp_path, segment_bytes=1024,
+                           fsync=False) as wal:
+            opened = len(reads)
+            assert [r["seq"] for r in wal.replay()] == list(range(1, 41))
+            assert len(reads) == opened        # no segment decoded twice
+            # later replays, and replays after an append, read the files
+            assert [r["seq"] for r in wal.replay(after_seq=38)] == [39, 40]
+            assert wal.append("events", {"events": []}) == 41
+            assert [r["seq"] for r in wal.replay(after_seq=39)] == [40, 41]
+            assert len(reads) > opened
+
     def test_prune_keeps_active_segment(self, tmp_path):
         with WriteAheadLog(tmp_path, segment_bytes=1024,
                            fsync=False) as wal:
