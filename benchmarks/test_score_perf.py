@@ -71,8 +71,9 @@ def test_scoring_pass_timings(profile, output_dir, ledger):
 
     def masked_stage():
         with no_grad():
-            return model._masked_eval_recon(nets.attr, graph, x, weights,
-                                            ensure_rng(0), {})
+            return model._masked_eval_recon(
+                nets.attr, graph, x, weights,
+                model._mask_groups(graph.num_nodes, ensure_rng(0)), {})
 
     stage = measure_repeated(masked_stage, reps=REPS, warmup=1,
                              name="masked_stage")

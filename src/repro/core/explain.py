@@ -86,8 +86,9 @@ class AnomalyExplainer:
         nets = model.networks
         weights = model._eval_fusion_weights()
         with no_grad():
-            fused, _ = model._masked_eval_recon(nets.attr, graph, graph.x,
-                                                weights, model._rng)
+            fused = model._masked_eval_recon(
+                nets.attr, graph, graph.x, weights,
+                model._mask_groups(graph.num_nodes, model._rng))
             _, per_rel = model._fused_eval_recon(nets.struct, graph, graph.x,
                                                  weights)
         self._fused = fused

@@ -225,10 +225,10 @@ class GMAE(Module):
                         h = Tensor(_propagate(prop, h.data, workspace,
                                               f"hop{hop % 2}"))
                     if first.bias is not None:
-                        bias = first.bias.data
-                        h = Tensor(np.add(h.data, bias, out=_scratch(
-                            workspace, "encoded", h.data.shape,
-                            np.result_type(h.data, bias))))
+                        # in place: ``h`` (a scratch buffer) already has
+                        # the bias's result dtype, as both carry the
+                        # weights' dtype
+                        np.add(h.data, first.bias.data, out=h.data)
                 else:
                     h = layer(ops.elu(h), prop)
 

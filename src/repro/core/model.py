@@ -29,7 +29,10 @@ item 3):
 
 from __future__ import annotations
 
+import contextvars
 import copy
+import threading
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -58,7 +61,9 @@ from .losses import dual_view_contrastive, masked_edge_loss, scaled_cosine_error
 from .scoring import (
     attribute_errors,
     combine_view_score,
-    structure_errors,
+    draw_negatives,
+    resolve_structure_mode,
+    structure_errors_from,
 )
 
 
@@ -88,6 +93,23 @@ class _Networks(Module):
                                name="fusion.a")
         self.b_raw = Parameter(init.normal((num_relations,), rng, std=0.1),
                                name="fusion.b")
+
+
+@dataclass
+class _ViewPlan:
+    """One view of a scoring pass, with its randomness already drawn."""
+
+    attr_bank: Optional[ModuleList]     # None: no attribute term
+    struct_bank: Optional[ModuleList]   # None: no structure term
+    groups: Optional[List[np.ndarray]]  # mask groups; None under w/o M
+    negatives: List[Optional[np.ndarray]]   # per relation; None = exact
+
+    @property
+    def attr_from_structure(self) -> bool:
+        """w/o M on an augmented view: the attribute term reads the
+        structure lane's unmasked pass of the same bank instead of running
+        it again."""
+        return self.groups is None and self.attr_bank is self.struct_bank
 
 
 class UMGAD(BaseDetector):
@@ -355,19 +377,13 @@ class UMGAD(BaseDetector):
         return weights / weights.sum()
 
     def _fused_eval_recon(self, bank: ModuleList, graph: MultiplexGraph,
-                          x: np.ndarray, weights: np.ndarray,
-                          cache: Optional[dict] = None):
+                          x: np.ndarray, weights: np.ndarray):
         """Mask-free reconstruction pass; returns (fused, per-relation).
 
         ``x`` is ``graph``'s attribute matrix in the pass dtype and
         ``weights`` the fusion weights (:meth:`_eval_fusion_weights`).
-        ``cache`` — a per-scoring-call dict — memoises the pass per bank,
-        so the views of one :meth:`_compute_scores` call never repeat an
-        identical full forward (the pass consumes no RNG, so reuse is
-        bitwise-invisible).
+        Consumes no RNG.
         """
-        if cache is not None and id(bank) in cache:
-            return cache[id(bank)]
         with span("score.fused_pass") as sp:
             inputs = Tensor(x)
             relations = self._relation_list(graph)
@@ -377,44 +393,46 @@ class UMGAD(BaseDetector):
             for r, rel in enumerate(relations):
                 rec = bank[r].forward(inputs, rel).data
                 per_rel.append(rec)
-                fused = fused + weights[r] * rec
-        if cache is not None:
-            cache[id(bank)] = (fused, per_rel)
+                fused += weights[r] * rec
         return fused, per_rel
+
+    def _mask_groups(self, num_nodes: int, rng: np.random.Generator
+                     ) -> Optional[List[np.ndarray]]:
+        """The ``ceil(1/r_m)`` disjoint mask groups of one masked
+        reconstruction, drawn from ``rng``; None (and no draw) when masking
+        is ablated (w/o M)."""
+        if not self.config.use_mask:
+            return None
+        num_groups = max(2, int(np.ceil(1.0 / self.config.mask_ratio)))
+        perm = rng.permutation(num_nodes)
+        return [g for g in np.array_split(perm, num_groups) if g.size]
 
     def _masked_eval_recon(self, bank: ModuleList, graph: MultiplexGraph,
                            x: np.ndarray, weights: np.ndarray,
-                           rng: np.random.Generator,
-                           cache: Optional[dict] = None):
-        """Imputation-style reconstruction for scoring.
+                           groups: Optional[List[np.ndarray]],
+                           workspace: Optional[dict] = None) -> np.ndarray:
+        """Imputation-style reconstruction for scoring; returns the fused
+        ``(n, f)`` reconstruction.
 
-        Nodes are partitioned into ``ceil(1/r_m)`` disjoint groups (drawn
-        from ``rng``); each group is [MASK]ed in turn and its rows are
-        reconstructed from context only. This matches the training
-        distribution of the GMAE — an unmasked pass lets the autoencoder
-        copy its input, flattening the anomaly signal. Falls back to the
-        unmasked pass when masking is ablated (w/o M), which is exactly
-        that variant's point.
+        Each of ``groups`` (:meth:`_mask_groups`) is [MASK]ed in turn and
+        its rows are reconstructed from context only. This matches the
+        training distribution of the GMAE — an unmasked pass lets the
+        autoencoder copy its input, flattening the anomaly signal. With
+        ``groups`` None (masking ablated, w/o M) this is the unmasked
+        pass, which is exactly that variant's point.
 
         All groups of a relation run as one stacked forward
         (:meth:`~repro.core.gmae.GMAE.impute_grouped`), so the call must
-        run under :func:`~repro.autograd.no_grad`.
+        run under :func:`~repro.autograd.no_grad`. ``workspace`` holds the
+        stacked forward's scratch buffers across the calls of one pass.
         """
-        if not self.config.use_mask:
-            return self._fused_eval_recon(bank, graph, x, weights, cache)
+        if groups is None:
+            return self._fused_eval_recon(bank, graph, x, weights)[0]
         with span("score.masked_group") as sp:
             inputs = Tensor(x)
             relations = self._relation_list(graph)
-            n = graph.num_nodes
-            num_groups = max(2, int(np.ceil(1.0 / self.config.mask_ratio)))
-            perm = rng.permutation(n)
-            groups = [g for g in np.array_split(perm, num_groups) if g.size]
             sp.set("groups", len(groups))
             sp.set("relations", len(relations))
-            workspace = (cache.setdefault("workspace", {})
-                         if cache is not None else None)
-            per_rel = [bank[r].impute_grouped(inputs, rel, groups, workspace)
-                       for r, rel in enumerate(relations)]
 
             # Degree-aware fusion: a masked node can only be imputed from
             # relations where it actually has neighbors — fusing in a
@@ -430,42 +448,127 @@ class UMGAD(BaseDetector):
             row_sum = w_matrix.sum(axis=1, keepdims=True)
             w_matrix = w_matrix / row_sum
 
+            # each relation's imputation is fused as soon as it exists, so
+            # only one is alive at a time
             fused = np.zeros_like(x)
-            for r in range(len(relations)):
-                fused += w_matrix[:, r:r + 1] * per_rel[r]
-            return fused, per_rel
+            for r, rel in enumerate(relations):
+                fused += w_matrix[:, r:r + 1] * bank[r].impute_grouped(
+                    inputs, rel, groups, workspace)
+            return fused
 
-    def _view_score(self, graph: MultiplexGraph, x: np.ndarray,
-                    fused: np.ndarray, per_rel: List[np.ndarray],
-                    include_attr: bool, include_struct: bool,
-                    rng: np.random.Generator) -> np.ndarray:
+    def _attribute_errors(self, graph: MultiplexGraph, x: np.ndarray,
+                          fused: np.ndarray) -> np.ndarray:
+        """Eq. 19's attribute term of one view."""
+        with span("score.attributes"):
+            attr_err = attribute_errors(fused, x,
+                                        metric=self.config.attr_score_metric)
+            # A node with no neighbors in any relation has no imputation
+            # context: its "reconstruction" is mask-token noise, not
+            # evidence. Neutralise those to the median so isolated normal
+            # nodes (common on sparse graphs) don't flood the top ranks.
+            has_context = np.zeros(graph.num_nodes, dtype=bool)
+            for rel in self._relation_list(graph):
+                has_context |= rel.degrees() > 0
+            if has_context.any() and (~has_context).any():
+                attr_err[~has_context] = np.median(attr_err[has_context])
+        return attr_err
+
+    def _plan_pass(self, graph: MultiplexGraph, nets: _Networks,
+                   rng: np.random.Generator, dtype) -> List[_ViewPlan]:
+        """Draw all of a pass's randomness and build its shared operators.
+
+        Views come in Eq. 19's order (original, attribute-augmented,
+        subgraph-augmented), each drawing its mask permutation and then
+        one negative sample per relation, so ``rng`` is consumed exactly
+        as a view-by-view pass consumed it. Every view draws its
+        permutation, even one whose attribute term the mode drops, because
+        the view-by-view pass did. The operators both lanes read are built
+        here, so no graph cache is filled by two threads.
+        """
         cfg = self.config
+        include_attr = cfg.mode in ("full", "att")
+        include_struct = cfg.mode in ("full", "str", "sub")
+        banks = []   # (attribute bank, structure bank or None) per view
+        if cfg.use_original and cfg.mode != "sub":
+            # the structure term reads the structure-GMAE's full-graph
+            # decode (edge prediction needs full context)
+            banks.append((nets.attr, nets.struct if include_struct else None))
+        if cfg.use_augmented and cfg.use_attr_aug and \
+                cfg.mode in ("full", "att"):
+            banks.append((nets.attr_aug,
+                          nets.attr_aug if cfg.mode == "full" else None))
+        if cfg.use_augmented and cfg.use_subgraph_aug and include_struct:
+            banks.append((nets.sub_aug, nets.sub_aug))
+
         relations = self._relation_list(graph)
-        attr_err = None
-        if include_attr:
-            with span("score.attributes"):
-                attr_err = attribute_errors(fused, x,
-                                            metric=cfg.attr_score_metric)
-                # A node with no neighbors in any relation has no
-                # imputation context: its "reconstruction" is mask-token
-                # noise, not evidence. Neutralise those to the median so
-                # isolated normal nodes (common on sparse graphs) don't
-                # flood the top ranks.
-                has_context = np.zeros(graph.num_nodes, dtype=bool)
-                for rel in relations:
-                    has_context |= rel.degrees() > 0
-                if has_context.any() and (~has_context).any():
-                    attr_err[~has_context] = np.median(attr_err[has_context])
-        struct_errs = []
-        if include_struct:
-            with span("score.structure") as sp:
-                sp.set("relations", len(relations))
-                for rel, decoded in zip(relations, per_rel):
-                    struct_errs.append(structure_errors(
-                        decoded, rel, cfg.structure_score_mode, rng,
-                        negatives_per_node=cfg.structure_score_negatives,
-                        exact_max_nodes=cfg.exact_score_max_nodes))
-        return combine_view_score(attr_err, struct_errs, cfg.epsilon)
+        n = graph.num_nodes
+        sampled = resolve_structure_mode(
+            cfg.structure_score_mode, n,
+            cfg.exact_score_max_nodes) == "sampled"
+        views = []
+        for attr_bank, struct_bank in banks:
+            groups = self._mask_groups(n, rng)
+            negatives = []
+            if struct_bank is not None:
+                negatives = [draw_negatives(rng, n,
+                                            cfg.structure_score_negatives)
+                             if sampled else None for _ in relations]
+            views.append(_ViewPlan(attr_bank if include_attr else None,
+                                   struct_bank, groups, negatives))
+
+        gat_loops = {layer.add_self_loops
+                     for view in views
+                     for bank in (view.attr_bank, view.struct_bank)
+                     if bank is not None
+                     for gmae in bank if gmae.kind == "gat"
+                     for layer in gmae.encoder}
+        for rel in relations:
+            rel.degrees()
+            rel.sym_propagator(dtype=dtype)   # also adjacency + pairs
+            for loops in gat_loops:
+                rel.gat_scatter(1, loops)
+        return views
+
+    def _attribute_lane(self, graph: MultiplexGraph, x: np.ndarray,
+                        views: List[_ViewPlan], weights: np.ndarray
+                        ) -> List[Optional[np.ndarray]]:
+        """Attribute term of every view (None where the view has none, or
+        :attr:`_ViewPlan.attr_from_structure`)."""
+        workspace: dict = {}
+        errors = []
+        for view in views:
+            if view.attr_bank is None or view.attr_from_structure:
+                errors.append(None)
+                continue
+            fused = self._masked_eval_recon(view.attr_bank, graph, x, weights,
+                                            view.groups, workspace)
+            errors.append(self._attribute_errors(graph, x, fused))
+        return errors
+
+    def _structure_lane(self, graph: MultiplexGraph, x: np.ndarray,
+                        views: List[_ViewPlan], weights: np.ndarray
+                        ) -> List[Tuple[Optional[np.ndarray],
+                                        List[np.ndarray]]]:
+        """Structure term of every view: (the unmasked fused
+        reconstruction where :attr:`_ViewPlan.attr_from_structure`, else
+        None; per-relation errors). Runs on the pass's helper thread."""
+        relations = self._relation_list(graph)
+        out = []
+        with no_grad():
+            for view in views:
+                if view.struct_bank is None:
+                    out.append((None, []))
+                    continue
+                fused, per_rel = self._fused_eval_recon(view.struct_bank,
+                                                        graph, x, weights)
+                with span("score.structure") as sp:
+                    sp.set("relations", len(relations))
+                    errs = [structure_errors_from(decoded, rel, negatives)
+                            for rel, decoded, negatives
+                            in zip(relations, per_rel, view.negatives)]
+                out.append((fused if view.attr_from_structure else None,
+                            errs))
+        return out
 
     def _compute_scores(self, graph: MultiplexGraph, x: np.ndarray,
                         nets: _Networks,
@@ -475,75 +578,56 @@ class UMGAD(BaseDetector):
         Writes no detector state: it reads ``x`` (``graph``'s attributes
         in the pass dtype) and ``nets`` (an :meth:`_inference_networks`
         copy), advances only ``rng``, and fills only ``graph``'s
-        idempotent operator caches. The whole pass sits
-        under ``no_grad()`` (tape-free forwards, CSR attention kernels,
-        stacked mask groups); identical fused passes are shared through a
-        per-call cache, which also holds the stacked mask groups' scratch
-        buffers. ``tests/fixtures/score_parity.json`` pins the resulting
-        scores.
+        idempotent operator caches. :meth:`_plan_pass` first draws all
+        of the pass's randomness; then the two halves of Eq. 19, which
+        share nothing given those draws, run at once: the calling thread
+        computes every view's attribute term while one helper thread
+        computes every structure term. Both run under ``no_grad()``
+        (tape-free forwards, CSR attention kernels, stacked mask groups)
+        and single-threaded BLAS, and the helper is joined before the pass
+        leaves either. ``tests/fixtures/score_parity.json`` pins the
+        resulting scores.
         """
-        cfg = self.config
-        include_attr = cfg.mode in ("full", "att")
-        include_struct = cfg.mode in ("full", "str", "sub")
         weights = self._eval_fusion_weights(nets)
-        cache: dict = {}
-        views = []
-
-        def masked(bank):
-            return self._masked_eval_recon(bank, graph, x, weights, rng,
-                                           cache)
-
-        def unmasked(bank):
-            return self._fused_eval_recon(bank, graph, x, weights, cache)
-
-        def view_score(fused, per_rel, attr, struct):
-            return self._view_score(graph, x, fused, per_rel, attr, struct,
-                                    rng)
-
         with no_grad(), single_threaded_blas():
-            if cfg.use_original and cfg.mode != "sub":
-                with span("score.view") as sp:
-                    sp.set("view", "original")
-                    fused, _ = masked(nets.attr)
-                    if cfg.mode in ("full", "str"):
-                        # structure term from the structure-GMAE's decoded
-                        # features (full-graph decode: edge prediction
-                        # needs full context)
-                        _, per_rel_struct = unmasked(nets.struct)
-                    else:
-                        # mode == "att": the view ignores the structure
-                        # term entirely, so don't pay a full fused pass for
-                        # decoded features nobody reads
-                        per_rel_struct = []
-                    views.append(view_score(fused, per_rel_struct,
-                                            include_attr, include_struct))
+            with span("score.view") as sp:
+                views = self._plan_pass(graph, nets, rng, x.dtype)
+                sp.set("views", len(views))
+                structure: list = []
+                failure: list = []
 
-            if cfg.use_augmented and cfg.use_attr_aug and \
-                    cfg.mode in ("full", "att"):
-                with span("score.view") as sp:
-                    sp.set("view", "attr_aug")
-                    fused, per_rel = masked(nets.attr_aug)
-                    if include_struct and cfg.mode == "full":
-                        _, per_rel = unmasked(nets.attr_aug)
-                    views.append(view_score(
-                        fused, per_rel, include_attr,
-                        include_struct and cfg.mode == "full"))
+                def lane() -> None:
+                    try:
+                        structure.extend(self._structure_lane(
+                            graph, x, views, weights))
+                    except BaseException as exc:   # re-raised after join
+                        failure.append(exc)
 
-            if cfg.use_augmented and cfg.use_subgraph_aug and \
-                    cfg.mode in ("full", "sub", "str"):
-                with span("score.view") as sp:
-                    sp.set("view", "sub_aug")
-                    fused, _ = masked(nets.sub_aug)
-                    _, per_rel = unmasked(nets.sub_aug)
-                    views.append(view_score(fused, per_rel, include_attr,
-                                            include_struct))
+                helper = threading.Thread(
+                    target=contextvars.copy_context().run, args=(lane,),
+                    name="umgad-structure-lane", daemon=True)
+                helper.start()
+                try:
+                    attr_errs = self._attribute_lane(graph, x, views,
+                                                     weights)
+                finally:
+                    helper.join()
+                if failure:
+                    raise failure[0]
+                scores = []
+                for view, attr_err, (fused, struct_errs) in zip(
+                        views, attr_errs, structure):
+                    if view.attr_from_structure:
+                        attr_err = self._attribute_errors(graph, x, fused)
+                    scores.append(combine_view_score(
+                        attr_err, struct_errs, self.config.epsilon))
 
-        if not views:
+        if not scores:
             raise RuntimeError(
                 "configuration disables every view; nothing to score")
         with span("score.aggregate") as sp:
-            sp.set("views", len(views))
-            return np.mean(views, axis=0)
+            sp.set("views", len(scores))
+            return np.mean(scores, axis=0)
 
     # ------------------------------------------------------------------
     @property

@@ -54,13 +54,14 @@ def _sigmoid_logits_inplace(dots: np.ndarray) -> None:
 
 @lru_cache(maxsize=4)
 def _query_rows(n: int, q: int, dtype: np.dtype) -> np.ndarray:
-    """``repeat(arange(n), q)`` — the row index of every sampled pair.
+    """``tile(arange(n), q)`` — the row index of every sampled pair, in
+    the ``(q, n)`` order of :func:`draw_negatives`.
 
     Identical across the many sampled-structure calls of one scoring pass
     (3 views × R relations), so cache the few-MB array, already in the
     adjacency's index dtype, instead of rebuilding it per call.
     """
-    return np.repeat(np.arange(n, dtype=dtype), q)
+    return np.tile(np.arange(n, dtype=dtype), q)
 
 
 def _sample_adjacency(adj: sp.csr_matrix, rows: np.ndarray,
@@ -137,6 +138,22 @@ def structure_errors_exact(decoded: np.ndarray, graph: RelationGraph,
     return errors
 
 
+def draw_negatives(rng: np.random.Generator, num_nodes: int,
+                   negatives_per_node: int) -> np.ndarray:
+    """The random partner ids of one sampled structure score.
+
+    The only randomness of :func:`structure_errors_sampled`; a scoring
+    pass draws every call's sample up front, in call order, and scores
+    from the arrays later (:func:`structure_errors_from`). Drawn as an
+    ``(n, q)`` int64 array (``q`` per node), returned as its ``(q, n)``
+    transpose in int32 where ids fit: the kernel's column-by-column
+    layout, at half the memory a pass holds.
+    """
+    drawn = rng.integers(0, num_nodes, size=(num_nodes, negatives_per_node))
+    index = np.int32 if num_nodes <= np.iinfo(np.int32).max else np.int64
+    return np.ascontiguousarray(drawn.T, dtype=index)
+
+
 def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
                              rng: np.random.Generator,
                              negatives_per_node: int = 20) -> np.ndarray:
@@ -145,6 +162,7 @@ def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
     For node ``i``: error over its observed neighbors (should reconstruct
     to ~1) plus ``negatives_per_node`` random non-edges (should be ~0),
     averaged. Unbiased up to the negative subsample, O(E + n·q) total.
+    The negatives come from :func:`draw_negatives`.
 
     The kernel uses a bincount scatter (same accumulation order as
     ``np.add.at``), one logit per undirected edge, a clip-free in-place
@@ -155,7 +173,16 @@ def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
     checks it bit for bit against a one-shot ``einsum``/``np.add.at``
     reference.
     """
+    return _sampled_kernel(decoded, graph, draw_negatives(
+        rng, graph.num_nodes, negatives_per_node))
+
+
+def _sampled_kernel(decoded: np.ndarray, graph: RelationGraph,
+                    neg_cols: np.ndarray) -> np.ndarray:
+    """:func:`structure_errors_sampled` with its negatives already drawn
+    (:func:`draw_negatives`)."""
     n = graph.num_nodes
+    negatives_per_node = neg_cols.shape[0]
     z = decoded / (np.linalg.norm(decoded, axis=1, keepdims=True) + 1e-12)
     adj = graph.adjacency(decoded.dtype)
 
@@ -190,21 +217,19 @@ def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
                           minlength=n)
 
     # Negatives column by column, into a (q, n) logit buffer.
-    neg_idx = rng.integers(0, n, size=(n, negatives_per_node))
-    neg_cols = np.ascontiguousarray(neg_idx.T)
     logits = np.empty((negatives_per_node, n), dtype=z.dtype)
     for k in range(negatives_per_node):
         np.take(z, neg_cols[k], axis=0, out=left, mode="clip")
         np.einsum("ij,ij->i", z, left, out=logits[k])
     _sigmoid_logits_inplace(logits)
     rows = _query_rows(n, negatives_per_node, adj.indices.dtype)
-    is_edge = _sample_adjacency(adj, rows, neg_idx.ravel()).reshape(
-        n, negatives_per_node)
+    is_edge = _sample_adjacency(adj, rows, neg_cols.ravel()).reshape(
+        negatives_per_node, n)
     # back to (n, q) in float64, the dtype the positive errors' bincount
     # accumulates in, whatever the pass dtype; the row sums keep their
     # reduction order
     neg_pred = logits.T.astype(np.float64, order="C")
-    np.subtract(neg_pred, is_edge, out=neg_pred)
+    np.subtract(neg_pred, is_edge.T, out=neg_pred)
     np.abs(neg_pred, out=neg_pred)
     neg_err = neg_pred.sum(axis=1)
 
@@ -213,19 +238,36 @@ def structure_errors_sampled(decoded: np.ndarray, graph: RelationGraph,
     return total / count
 
 
+def resolve_structure_mode(mode: str, num_nodes: int,
+                           exact_max_nodes: int = 4000) -> str:
+    """``"exact"`` or ``"sampled"``: ``mode``, with ``"auto"`` picking exact
+    up to ``exact_max_nodes`` nodes."""
+    if mode == "auto":
+        mode = "exact" if num_nodes <= exact_max_nodes else "sampled"
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown structure score mode {mode!r}")
+    return mode
+
+
+def structure_errors_from(decoded: np.ndarray, graph: RelationGraph,
+                          negatives: Optional[np.ndarray]) -> np.ndarray:
+    """Structure error from a pre-drawn sample: the sampled estimator over
+    ``negatives`` (:func:`draw_negatives`), or the exact one when
+    ``negatives`` is None."""
+    if negatives is None:
+        return structure_errors_exact(decoded, graph)
+    return _sampled_kernel(decoded, graph, negatives)
+
+
 def structure_errors(decoded: np.ndarray, graph: RelationGraph,
                      mode: str, rng: np.random.Generator,
                      negatives_per_node: int = 20,
                      exact_max_nodes: int = 4000) -> np.ndarray:
     """Dispatch between exact and sampled structure error."""
-    if mode == "auto":
-        mode = "exact" if graph.num_nodes <= exact_max_nodes else "sampled"
-    if mode == "exact":
-        return structure_errors_exact(decoded, graph)
-    if mode == "sampled":
-        return structure_errors_sampled(decoded, graph, rng,
-                                        negatives_per_node=negatives_per_node)
-    raise ValueError(f"unknown structure score mode {mode!r}")
+    mode = resolve_structure_mode(mode, graph.num_nodes, exact_max_nodes)
+    negatives = (draw_negatives(rng, graph.num_nodes, negatives_per_node)
+                 if mode == "sampled" else None)
+    return structure_errors_from(decoded, graph, negatives)
 
 
 def combine_view_score(attr_err: Optional[np.ndarray],

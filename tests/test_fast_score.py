@@ -212,7 +212,7 @@ class TestScoreGraphPrecision:
         import repro.core.model as model_mod
 
         seen = set()
-        for name in ("attribute_errors", "structure_errors"):
+        for name in ("attribute_errors", "structure_errors_from"):
             real = getattr(model_mod, name)
 
             def spy(first, *args, _real=real, **kwargs):
@@ -311,12 +311,39 @@ class TestInferenceNetworks:
 
 
 
+def _same_value(a, b) -> bool:
+    """Deep equality of the values the lazy caches hand out."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    if hasattr(a, "__dataclass_fields__"):
+        return all(_same_value(getattr(a, f), getattr(b, f))
+                   for f in a.__dataclass_fields__)
+    if hasattr(a, "nnz"):
+        return a.dtype == b.dtype and (a != b).nnz == 0
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
 class TestConcurrentCacheFills:
+    #: every lazy fill of a relation's operator caches, by name
+    FILLS = {
+        "directed_pairs": lambda rel: rel.directed_pairs(),
+        "degrees": lambda rel: rel.degrees(),
+        "adjacency": lambda rel: rel.adjacency(np.float32),
+        "sym_propagator": lambda rel: rel.sym_propagator(dtype=np.float32),
+        "block_propagator": lambda rel: rel.block_propagator(
+            3, dtype=np.float32),
+        "gat_scatter1": lambda rel: rel.gat_scatter(1),
+        "gat_scatter3": lambda rel: rel.gat_scatter(3),
+    }
+
     def test_racing_threads_fill_each_cache_consistently(self):
         """The inference pass's lazy caches — the cast weight copy and the
         graph's per-dtype operators — fill without a lock: racing threads
         may build twice, but every caller gets an equal value, and the
-        model hands all of them one weight copy."""
+        model hands all of them one weight copy. Each fill races on its
+        own empty relation, so no fill is pre-built by another."""
         import sys
         import threading
 
@@ -324,15 +351,24 @@ class TestConcurrentCacheFills:
         model = UMGAD(UMGADConfig(epochs=2, seed=0)).fit(
             random_multiplex(60, 2, 6, rng, avg_degree=3.0))
         model.load_state_dict(model.state_dict())   # empty the cast cache
-        rel = random_multiplex(60, 2, 6, rng, avg_degree=3.0)["rel0"]
-        nets, props, errors = [], [], []
+        base = random_multiplex(60, 2, 6, rng, avg_degree=3.0)["rel0"]
+
+        def fresh():
+            return RelationGraph(base.num_nodes, base.edges, name="rel0",
+                                 validated=True)
+
+        rels = {name: fresh() for name in self.FILLS}
+        nets, errors = [], []
+        seen = {name: [] for name in self.FILLS}
         barrier = threading.Barrier(8)
 
         def work():
             try:
                 barrier.wait(timeout=30)
                 nets.append(model._inference_networks(np.float32))
-                props.append(rel.block_propagator(3, dtype=np.float32))
+                for name, fill in self.FILLS.items():
+                    barrier.wait(timeout=30)
+                    seen[name].append(fill(rels[name]))
             except Exception as exc:   # surfaced by the assert below
                 errors.append(exc)
 
@@ -350,7 +386,101 @@ class TestConcurrentCacheFills:
         assert not errors, errors
         assert len({id(n) for n in nets}) == 1
         assert nets[0] is model._inference_networks(np.float32)
-        reference = rel.block_propagator(3, dtype=np.float32)
-        for prop in props:
-            assert prop.dtype == np.float32
-            assert (prop != reference).nnz == 0
+        for name, fill in self.FILLS.items():
+            reference = fill(fresh())
+            assert len(seen[name]) == 8, name
+            assert all(_same_value(value, reference)
+                       for value in seen[name]), name
+
+
+class TestTwoLanePass:
+    """The pass's structure terms run on a helper thread beside the
+    attribute terms; thread interleaving must never show in the scores or
+    in the trace's shape."""
+
+    def test_deterministic_under_tight_switching(self, parity,
+                                                 score_graph_cases):
+        import sys
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for case, (model, graph) in score_graph_cases.items():
+                for dtype, key in ((np.float64, "float64"),
+                                   (np.float32, "float32")):
+                    runs = [model.score_graph(graph, dtype=dtype)
+                            for _ in range(3)]
+                    assert all(run.tobytes() == runs[0].tobytes()
+                               for run in runs), (case, key)
+                    tol = ({"rel": 1e-12} if key == "float64"
+                           else {"rel": 1e-5, "abs": 1e-6})
+                    assert runs[0].tolist() == pytest.approx(
+                        parity["score_graph"][key][case], **tol)
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_helper_lane_spans_nest_under_the_pass(self, score_graph_cases):
+        from repro.obs import start_trace
+
+        model, graph = score_graph_cases["sampled"]
+        with start_trace("two-lane") as trace:
+            model.score_graph(graph)
+        spans = trace.to_dict()["spans"]
+        (view,) = [s for s in spans if s["name"] == "score.view"]
+        lane = [s for s in spans
+                if s["name"] in ("score.structure", "score.fused_pass")]
+        # one structure term and one unmasked pass per view
+        assert len(lane) == 6
+        assert all(s["parent_id"] == view["span_id"] for s in lane)
+        end = view["start_ms"] + view["wall_ms"]
+        assert all(view["start_ms"] <= s["start_ms"]
+                   and s["start_ms"] + s["wall_ms"] <= end + 1e-6
+                   for s in lane)
+
+    @pytest.mark.parametrize("variant", ["full", "att", "str", "sub",
+                                         "wo_mask"])
+    def test_plan_draws_in_the_view_by_view_order(self, variant):
+        """Per view, its mask permutation (none under w/o M) and then one
+        negative sample per relation where the view has a structure term:
+        the order the view-by-view pass drew them in, which the pins hold
+        only where a later draw depends on it."""
+        from repro.core.scoring import draw_negatives
+
+        graph = random_multiplex(50, 2, 6, np.random.default_rng(18),
+                                 avg_degree=3.0)
+        cfg = _variant_config(variant, structure_score_mode="sampled")
+        model = UMGAD(cfg.variant(epochs=1)).fit(graph)
+        nets = model._inference_networks(np.float64)
+        rng = np.random.default_rng(5)
+        views = model._plan_pass(graph, nets, rng, np.float64)
+        assert len(views) == {"full": 3, "att": 2, "str": 2, "sub": 1,
+                              "wo_mask": 3}[variant]
+        replay = np.random.default_rng(5)
+        for view in views:
+            if variant == "wo_mask":
+                assert view.groups is None
+            else:
+                assert np.array_equal(np.concatenate(view.groups),
+                                      replay.permutation(50))
+            for negatives in view.negatives:
+                assert np.array_equal(negatives, draw_negatives(
+                    replay, 50, cfg.structure_score_negatives))
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_helper_lane_failure_reaches_the_caller(self, monkeypatch,
+                                                    score_graph_cases):
+        import threading
+
+        import repro.core.model as model_mod
+        from repro.autograd import is_grad_enabled
+
+        def boom(*_args):
+            raise FloatingPointError("structure lane failed")
+
+        monkeypatch.setattr(model_mod, "structure_errors_from", boom)
+        model, graph = score_graph_cases["sampled"]
+        with pytest.raises(FloatingPointError, match="structure lane"):
+            model.score_graph(graph)
+        assert is_grad_enabled()
+        assert not any(t.name == "umgad-structure-lane"
+                       for t in threading.enumerate())

@@ -10,6 +10,7 @@ bitwise-identical to the uninterrupted run's.
 
 import json
 import struct
+import zipfile
 import zlib
 
 import numpy as np
@@ -299,6 +300,59 @@ class TestSnapshots:
         newest.write_bytes(b"not a zip archive")
         _graph2, meta = load_latest_snapshot(tmp_path)
         assert meta["record_seq"] == 1
+
+    @staticmethod
+    def _recompress(path):
+        """Rewrite ``path`` as an earlier version wrote snapshots:
+        the same members, deflated."""
+        with np.load(path) as archive:
+            payload = {key: archive[key] for key in archive.files}
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+
+    def test_written_uncompressed_and_compressed_ones_still_load(
+            self, tmp_path, rng):
+        graph = self._graph(rng)
+        builder = IncrementalGraphBuilder.from_graph(graph)
+        meta = snapshot_meta(builder, record_seq=3, windows_scored=1,
+                             events_consumed=0, alerts_raised=0, pending=[])
+        path = save_snapshot(tmp_path, builder.snapshot(), meta)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_STORED}
+        self._recompress(path)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED}
+        loaded_graph, loaded_meta = load_latest_snapshot(tmp_path)
+        assert graph_fingerprint(loaded_graph) == builder.fingerprint()
+        assert loaded_meta["record_seq"] == 3
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_flipped_byte_in_newest_falls_back(self, tmp_path, rng,
+                                               compressed):
+        graph = self._graph(rng)
+        builder = IncrementalGraphBuilder.from_graph(graph)
+        for seq in (1, 2):
+            meta = snapshot_meta(builder, record_seq=seq, windows_scored=0,
+                                 events_consumed=0, alerts_raised=0,
+                                 pending=[])
+            path = save_snapshot(tmp_path, builder.snapshot(), meta)
+            if compressed:
+                self._recompress(path)
+        # flip one byte in the middle of the newest archive's x member:
+        # the zip directory stays intact, only the member's CRC catches it
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("x.npy")
+        raw = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack(
+            "<HH", raw[info.header_offset + 26:info.header_offset + 30])
+        start = info.header_offset + 30 + name_len + extra_len
+        raw[start + info.compress_size // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        loaded_graph, meta = load_latest_snapshot(tmp_path)
+        assert meta["record_seq"] == 1
+        assert graph_fingerprint(loaded_graph) == builder.fingerprint()
 
     def test_non_canonical_edges_treated_as_damaged(self, tmp_path, rng):
         graph = self._graph(rng)
