@@ -1,13 +1,13 @@
-"""Global gradient mode: ``no_grad()`` / ``enable_grad()`` (torch-style).
+"""Per-context gradient mode: ``no_grad()`` / ``enable_grad()`` (torch-style).
 
 The autograd engine records a tape — parent links plus backward closures —
 on every op whose inputs require gradients. Inference never calls
 ``backward()``, so that tape is pure overhead: it retains every
 intermediate array for the lifetime of the output and pays a closure
-allocation per op. Entering :func:`no_grad` turns the tape off globally:
-ops compute plain numpy forwards, record no parents and no closures, and
-never propagate ``requires_grad``. The GAT layer additionally switches
-to a faster grad-free kernel under ``no_grad`` (see
+allocation per op. Entering :func:`no_grad` turns the tape off for the
+current context: ops compute plain numpy forwards, record no parents and
+no closures, and never propagate ``requires_grad``. The GAT layer
+additionally switches to a faster grad-free kernel under ``no_grad`` (see
 :class:`repro.nn.layers.GATConv`) whose results are bitwise identical to
 the recording path.
 
@@ -21,28 +21,33 @@ including on exceptions; they also work as decorators::
     def refit(graph):                          # trains even if the caller
         return UMGAD(cfg).fit(graph)           # sits inside no_grad()
 
-The mode is process-global (the engine is single-threaded by design; see
-``tensor.py``).
+The mode is a :class:`contextvars.ContextVar`, so each thread has its own:
+one thread leaving ``no_grad()`` cannot switch the tape back on inside
+another thread's scoring pass, and a fit under ``enable_grad()`` in one
+thread cannot be turned off by a pass in another. A new thread starts
+with the tape on; code run through ``contextvars.copy_context()`` (the
+scoring pass's structure lane) inherits its caller's mode.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 
-#: module-level flag read directly by the op hot path (``ops._make``)
-_enabled = True
+#: the flag, read directly by the op hot path (``ops._make``)
+_enabled: "contextvars.ContextVar[bool]" = contextvars.ContextVar(
+    "repro_grad_enabled", default=True)
 
 
 def is_grad_enabled() -> bool:
     """True when ops currently record the autodiff tape."""
-    return _enabled
+    return _enabled.get()
 
 
 def set_grad_enabled(mode: bool) -> bool:
-    """Set the global grad mode; returns the previous mode."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(mode)
+    """Set the current context's grad mode; returns the previous mode."""
+    previous = _enabled.get()
+    _enabled.set(bool(mode))
     return previous
 
 

@@ -42,7 +42,7 @@ def _acc(grads: dict, parent: Tensor, grad: np.ndarray) -> None:
 
 
 def _make(result: np.ndarray, parents: Tuple[Tensor, ...], backward) -> Tensor:
-    if grad_mode._enabled and any(p.requires_grad for p in parents):
+    if grad_mode._enabled.get() and any(p.requires_grad for p in parents):
         return Tensor(result, requires_grad=True, parents=parents,
                       backward_fn=backward)
     return Tensor(result)
@@ -189,7 +189,7 @@ def clip(a, low: Optional[float], high: Optional[float]) -> Tensor:
     """Clamp values; gradient is passed through inside the active range."""
     a = ensure_tensor(a)
     out = np.clip(a.data, low, high)
-    if not (grad_mode._enabled and a.requires_grad):
+    if not (grad_mode._enabled.get() and a.requires_grad):
         return Tensor(out)
     inside = np.ones_like(a.data)
     if low is not None:
@@ -350,7 +350,7 @@ def max_reduce(a, axis: int, keepdims: bool = False) -> Tensor:
     """Max along one axis; gradient flows only to the (first) argmax."""
     a = ensure_tensor(a)
     out = a.data.max(axis=axis, keepdims=keepdims)
-    if not (grad_mode._enabled and a.requires_grad):
+    if not (grad_mode._enabled.get() and a.requires_grad):
         return Tensor(out)
     expanded = a.data.max(axis=axis, keepdims=True)
     mask = (a.data == expanded)

@@ -104,7 +104,7 @@ class GATConv(Module):
         through the grad-free inference kernel when grad mode is off; it
         is ignored while gradients are being recorded.
         """
-        if scatter is not None and not grad_mode._enabled:
+        if scatter is not None and not grad_mode._enabled.get():
             return self.inference_forward(x, scatter)
         n = num_nodes if num_nodes is not None else x.shape[0]
         src = np.asarray(src, dtype=np.int64)

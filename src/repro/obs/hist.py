@@ -4,7 +4,7 @@ A :class:`Histogram` accumulates observations into fixed buckets whose
 upper bounds are **inclusive** (Prometheus ``le`` semantics) and exports
 cumulative counts plus ``sum``/``count`` — exactly the
 ``_bucket``/``_sum``/``_count`` triple the text exposition renders (see
-:meth:`repro.server.metrics.MetricsRegistry.histogram`). Stdlib only:
+:func:`repro.obs.metrics.histogram`). Stdlib only:
 ``bisect`` for the bucket lookup, one lock per histogram.
 """
 

@@ -25,6 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .metrics import Collected, counter, dict_families, family
+
 try:
     import resource
 except ImportError:  # pragma: no cover - non-POSIX
@@ -138,6 +140,20 @@ def capture_sample(pool_probe=None) -> RuntimeSample:
     )
 
 
+#: (RuntimeSample.to_dict() key, family, kind, HELP); a probe that
+#: cannot be answered (None) omits its gauge
+_PROCESS_GAUGES = (
+    ("rss_bytes", "process_resident_memory_bytes", "gauge",
+     "Resident set size (/proc/self/statm)."),
+    ("peak_rss_bytes", "process_peak_resident_memory_bytes", "gauge",
+     "Peak resident set size (getrusage ru_maxrss)."),
+    ("open_fds", "process_open_fds", "gauge",
+     "Open file descriptors (/proc/self/fd)."),
+    ("threads", "process_threads", "gauge",
+     "Live python threads (threading.active_count)."),
+)
+
+
 class RuntimeSampler:
     """Background daemon refreshing a :class:`RuntimeSample` periodically.
 
@@ -198,8 +214,39 @@ class RuntimeSampler:
         return sample
 
     def refresh(self) -> RuntimeSample:
-        """Force a synchronous sample (deep health checks want fresh RSS)."""
+        """Force a synchronous sample."""
         return self._capture()
+
+    def collect(self) -> Collected:
+        """Process gauges, the sampler's own cost, and the sample as the
+        deep-health entry. Reads :meth:`latest`, never :meth:`refresh`:
+        a scrape or probe costs no ``/proc`` read, and ``unix_time`` says
+        how old the sample is (at most ``interval`` seconds)."""
+        sample = self.latest()
+        with self._lock:
+            taken, seconds = self.samples_taken, self.sample_seconds
+        health = sample.to_dict()
+        families = dict_families(health, _PROCESS_GAUGES)
+        if sample.gc_stats:
+            generations = [({"generation": str(gen)}, stat)
+                           for gen, stat in enumerate(sample.gc_stats)]
+            families += [
+                family("python_gc_collections_total", "counter",
+                       "GC collections run, by generation.",
+                       [(labels, stat["collections"])
+                        for labels, stat in generations]),
+                family("python_gc_collected_objects_total", "counter",
+                       "Objects reclaimed by the GC, by generation.",
+                       [(labels, stat["collected"])
+                        for labels, stat in generations]),
+            ]
+        families += [
+            counter("runtime_samples_total",
+                    "Background process-telemetry samples captured.", taken),
+            counter("runtime_sample_seconds_total",
+                    "Wall seconds spent capturing runtime samples.", seconds),
+        ]
+        return Collected(families, health)
 
     def close(self) -> None:
         self._stop.set()

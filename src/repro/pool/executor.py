@@ -35,12 +35,13 @@ import os
 import threading
 import time
 import zlib
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from .. import chaos
 from ..graphs.multiplex import MultiplexGraph
+from ..obs.metrics import Collected, dict_families, family
 from ..obs.trace import span
 from ..serve.checkpoint import checkpoint_payload
 from .shm import (
@@ -107,6 +108,46 @@ class _Worker:
             return int(fields[1]) * os.sysconf("SC_PAGE_SIZE")
         except (OSError, IndexError, ValueError):
             return 0
+
+
+#: (stats() key, family, kind, HELP) of the pool-level families
+_POOL_FAMILIES = (
+    ("workers", "pool_workers", "gauge",
+     "Scoring worker processes configured."),
+    ("workers_alive", "pool_workers_alive", "gauge",
+     "Scoring worker processes currently alive."),
+    ("dispatches", "pool_dispatches_total", "counter",
+     "Batches dispatched to worker processes."),
+    ("retries", "pool_retries_total", "counter",
+     "Batches retried after a worker crash or stall."),
+    ("worker_deaths", "pool_worker_deaths_total", "counter",
+     "Worker processes that died and were respawned."),
+    ("shm_generation", "pool_generation", "gauge",
+     "Active shared-checkpoint generation."),
+    ("shm_generations_live", "pool_shm_generations_live", "gauge",
+     "Checkpoint generations still mapped (in-flight batches pin retired "
+     "ones)."),
+    ("shm_segments", "pool_shm_segments", "gauge",
+     "Shared-memory segments currently linked."),
+    ("shm_bytes", "pool_shm_bytes", "gauge",
+     "Bytes of checkpoint payload in shared memory (one copy per machine)."),
+    ("shm_refs", "pool_shm_refs", "gauge",
+     "In-flight batch references pinning generations."),
+    ("shm_retired_unlinked", "pool_shm_retired_total", "counter",
+     "Retired generations whose segments were unlinked."),
+)
+
+#: (worker_infos() key, family, kind, HELP) of the per-worker families
+_WORKER_FAMILIES = (
+    ("alive", "pool_worker_alive", "gauge",
+     "1 when the scoring worker process is alive, by worker."),
+    ("requests", "pool_worker_requests_total", "counter",
+     "Batches answered, by worker process."),
+    ("respawns", "pool_worker_respawns_total", "counter",
+     "Times the worker slot was respawned, by worker."),
+    ("rss_bytes", "pool_worker_resident_memory_bytes", "gauge",
+     "Resident set size of the scoring worker, by worker."),
+)
 
 
 class ProcessPool:
@@ -410,6 +451,18 @@ class ProcessPool:
             "reclaimed_at_startup": len(self.reclaimed_segments),
             **{f"shm_{key}": value for key, value in shm.items()},
         }
+
+    def collect(self) -> Collected:
+        """The ``pool_*`` families; :meth:`stats` plus the per-worker
+        :meth:`worker_infos` are the deep-health entry."""
+        stats, infos = self.stats(), self.worker_infos()
+        families = dict_families(stats, _POOL_FAMILIES)
+        if infos:
+            families += [family(name, kind, help_text,
+                                [({"worker": str(info["worker"])},
+                                  int(info[key])) for info in infos])
+                         for key, name, kind, help_text in _WORKER_FAMILIES]
+        return Collected(families, {**stats, "worker_infos": infos})
 
     def ping(self) -> List[dict]:
         """Round-trip every worker's pipe; returns their pong payloads."""

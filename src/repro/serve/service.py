@@ -21,8 +21,8 @@ cache.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import Counter, OrderedDict
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -31,6 +31,7 @@ from .. import chaos
 from ..detection import BaseDetector
 from ..graphs.io import graph_fingerprint
 from ..graphs.multiplex import MultiplexGraph
+from ..obs.metrics import Collected, family, gauge, metric, stat_families
 from ..obs.trace import annotate, span
 from .checkpoint import load_checkpoint
 
@@ -43,16 +44,22 @@ class ServiceError(RuntimeError):
 class ServiceStats:
     """Cache + refit telemetry for one :class:`DetectorService`."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
+    hits: int = metric("counter", "DetectorService cache hits.",
+                       name="cache_hits")
+    misses: int = metric(
+        "counter", "DetectorService cache misses (scoring passes).",
+        name="cache_misses")
+    evictions: int = metric("counter", "DetectorService LRU evictions.",
+                            name="cache_evictions")
     #: hot-swaps performed via :meth:`DetectorService.replace_detector`
-    refits: int = 0
+    refits: int = metric("counter",
+                         "Detector hot-swaps (activations + refits).")
     #: engine epochs spent across those refits (from the detectors'
     #: :class:`repro.engine.TrainState` when available)
-    refit_epochs: int = 0
-    #: wall-clock training seconds across those refits
-    refit_seconds: float = 0.0
+    refit_epochs: int = metric("counter",
+                               "Training epochs spent across refits.")
+    refit_seconds: float = metric(
+        "counter", "Training seconds spent across refits.", default=0.0)
 
     @property
     def requests(self) -> int:
@@ -64,16 +71,8 @@ class ServiceStats:
 
     def to_dict(self) -> dict:
         """JSON-able cache telemetry (serve-bench / stream reports)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "requests": self.requests,
-            "hit_rate": self.hit_rate,
-            "refits": self.refits,
-            "refit_epochs": self.refit_epochs,
-            "refit_seconds": self.refit_seconds,
-        }
+        return {**asdict(self), "requests": self.requests,
+                "hit_rate": self.hit_rate}
 
 
 @dataclass
@@ -147,14 +146,15 @@ class DetectorService:
         # Reentrant: threshold/explain helpers take it while _entry holds it.
         self._lock = threading.RLock()
         # Serialises fresh scoring passes (distinct fingerprints — dog-pile
-        # dedup only collapses identical ones). UMGAD's pass no longer
-        # writes detector state (its generator, precision and eval-mode
-        # networks are explicit), but the graph's operator caches still
-        # fill lazily without a guard, and the gate has not been priced
-        # against the process tier yet. One pass at a time keeps every
-        # result bitwise reproducible; scaling distinct-fingerprint load
-        # is the process tier's job (repro.pool), where each worker
-        # process owns a private detector.
+        # dedup only collapses identical ones). A UMGAD pass no longer
+        # needs it to stay deterministic: its generator, precision and
+        # eval-mode weights are explicit, its operator-cache fills are
+        # idempotent and grad mode is per thread. What the gate costs is
+        # priced by benchmarks/test_server_perf.py's distinct-fingerprint
+        # herd on a 2-core host: the process tier (repro.pool) answered it
+        # 1.18-1.45x faster than the thread tier over 9 reps (median
+        # 1.26x) with the gate, and 1.05-1.26x over 6 reps (median 1.18x)
+        # without it. Removing it is left to a serve-mix measurement.
         self._score_gate = threading.Lock()
         self._inflight: dict = {}
         # Bumped by replace_detector so stale scoring passes never cache.
@@ -346,6 +346,52 @@ class DetectorService:
                 "bytes": total,
                 "inflight": len(self._inflight),
             }
+
+    def collect(self, graphs=()) -> Collected:
+        """The ``service_*`` families and the deep-health entry, plus
+        per-relation ``propagator_cache_*`` gauges summed over the trained
+        graph and ``graphs`` (other long-lived graphs whose operator
+        caches grow with traffic, e.g. the stream builder's seed)."""
+        with self._lock:
+            stats = replace(self.stats)
+            cache = self.cache_info()
+            trained = self.trained_fingerprint
+            warm = trained is not None and self.is_warm(trained)
+        entries, nbytes = Counter(), Counter()
+        long_lived = (getattr(self.detector, "_graph", None), *graphs)
+        for graph in {id(g): g for g in long_lived if g is not None}.values():
+            for name, relation in graph:
+                info = relation.cache_info()
+                entries[name] += info["entries"]
+                nbytes[name] += info["bytes"]
+        families = stat_families(stats, "service") + [
+            gauge("service_cache_entries",
+                  "Graphs resident in the DetectorService LRU cache.",
+                  cache["entries"]),
+            gauge("service_cache_bytes",
+                  "Bytes pinned by the DetectorService LRU cache.",
+                  cache["bytes"]),
+        ]
+        if entries:
+            relations = sorted(entries)
+            families += [
+                family("propagator_cache_entries", "gauge",
+                       "Lazily-built graph operators resident, by relation.",
+                       [({"relation": name}, entries[name])
+                        for name in relations]),
+                family("propagator_cache_bytes", "gauge",
+                       "Bytes held by cached graph operators, by relation.",
+                       [({"relation": name}, nbytes[name])
+                        for name in relations]),
+            ]
+        return Collected(families, {
+            "warm": warm,
+            "cache_entries": cache["entries"],
+            "cache_capacity": cache["capacity"],
+            "cache_bytes": cache["bytes"],
+            "inflight": cache["inflight"],
+            "hit_rate": stats.hit_rate,
+        })
 
     # ------------------------------------------------------------------
     # Queries

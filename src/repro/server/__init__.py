@@ -19,8 +19,9 @@ JSON API:
 * :mod:`repro.server.protocol` — the JSON wire format (full-precision
   score serialisation: HTTP-served scores are bitwise-identical to
   in-process ``score_graph`` output);
-* :mod:`repro.server.metrics` — Prometheus text exposition (counters,
-  gauges and latency histograms);
+* ``/metrics`` and ``GET /healthz?deep=1`` come from one ``collect()``
+  per component, rendered by :mod:`repro.obs.metrics` (Prometheus text
+  exposition: counters, gauges and latency histograms);
 * :mod:`repro.server.slo` — rolling-window p50/p99 latency + error-rate
   SLO tracking per endpoint (``slo_*`` burn gauges at ``/metrics``,
   ``GET /healthz?deep=1`` component health, 503 on sustained burn);
@@ -60,7 +61,6 @@ from .batcher import (
 from .breaker import CircuitBreaker
 from .client import ServerClient, ServerClientError
 from .gateway import API_VERSION, Gateway, GatewayError, SERVER_NAME
-from .metrics import MetricsRegistry
 from .protocol import ProtocolError, graph_from_payload, graph_payload
 from .slo import EndpointStatus, SLOObjective, SLOTracker, WindowSummary
 
@@ -74,7 +74,6 @@ __all__ = [
     "EndpointStatus",
     "Gateway",
     "GatewayError",
-    "MetricsRegistry",
     "MicroBatcher",
     "ProtocolError",
     "ReproServer",

@@ -40,7 +40,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional
 
 from .. import chaos
@@ -48,6 +48,8 @@ from ..graphs.io import graph_fingerprint
 from ..graphs.multiplex import MultiplexGraph
 from ..obs.hist import BATCH_SIZE_BOUNDS, DURATION_BOUNDS, Histogram
 from ..obs.log import get_logger
+from ..obs.metrics import (Collected, counter, gauge, histogram, metric,
+                           stat_families)
 from ..obs.trace import current_span, current_trace, span, use_span
 from ..serve.service import DetectorService
 
@@ -94,28 +96,28 @@ class DeadlineExceeded(RuntimeError):
 class BatcherStats:
     """Counters for one :class:`MicroBatcher` (exported via /metrics)."""
 
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0
-    #: scoring passes actually run (== groups processed)
-    batches: int = 0
-    #: requests that joined an already-open group (saved scoring passes)
-    coalesced: int = 0
-    largest_batch: int = 0
-    #: requests dropped at batch assembly because their deadline passed
-    expired: int = 0
-    #: workers killed by an unexpected exception (chaos or real bug)
-    worker_crashes: int = 0
-    #: replacement workers started by the watchdog
-    worker_respawns: int = 0
-    #: batch groups re-queued after their worker crashed (zero requests lost)
-    rescued: int = 0
+    submitted: int = metric("counter", "Score requests admitted.")
+    completed: int = metric("counter", "Score requests answered.")
+    failed: int = metric("counter", "Score requests failed in scoring.")
+    rejected: int = metric("counter", "Score requests refused at admission.")
+    batches: int = metric("counter", "Scoring passes run (batched groups).")
+    coalesced: int = metric("counter", "Requests that joined an open batch.")
+    largest_batch: int = metric(
+        "gauge", "Largest batch answered by one scoring pass.")
+    expired: int = metric(
+        "counter", "Score requests dropped on an expired deadline.")
+    worker_crashes: int = metric(
+        "counter", "Batcher workers killed by unexpected exceptions.")
+    worker_respawns: int = metric(
+        "counter", "Replacement workers started by the watchdog.")
+    rescued: int = metric(
+        "counter", "Batch groups re-queued after a worker crash.",
+        name="rescued_groups")
     #: workers still alive after close() exhausted its join timeout
     leaked_workers: int = 0
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return asdict(self)
 
 
 class _Group:
@@ -197,6 +199,7 @@ class MicroBatcher:
         #: included — a lingering worker is occupied); feeds the
         #: utilization gauge: busy_seconds / (workers * uptime)
         self._busy_seconds = 0.0
+        self._started = time.monotonic()
         #: seconds between a request's admission and its batch starting
         self.queue_wait = Histogram(DURATION_BOUNDS)
         #: requests answered per scoring pass
@@ -253,15 +256,40 @@ class MicroBatcher:
             return self._pending
 
     @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    @property
     def busy_seconds(self) -> float:
         """Cumulative wall seconds workers spent on batch groups."""
         with self._lock:
             return self._busy_seconds
+
+    def collect(self) -> Collected:
+        """The ``batcher_*`` families and the deep-health entry."""
+        with self._lock:
+            stats = replace(self.stats)
+            depth, closed, busy = self._pending, self._closed, \
+                self._busy_seconds
+        capacity = self.workers * (time.monotonic() - self._started)
+        utilization = busy / capacity if capacity > 0 else 0.0
+        families = stat_families(stats, "batcher") + [
+            gauge("batcher_workers", "Batcher worker threads.", self.workers),
+            counter("batcher_busy_seconds_total",
+                    "Wall seconds workers spent on batch groups.", busy),
+            gauge("batcher_utilization_ratio",
+                  "Share of worker capacity spent on batch groups.",
+                  utilization),
+        ]
+        if self.queue_wait.count:
+            families.append(histogram(
+                "batcher_queue_wait_seconds",
+                "Seconds between request admission and its batch starting.",
+                self.queue_wait))
+        if self.batch_sizes.count:
+            families.append(histogram(
+                "batcher_batch_size", "Requests answered per scoring pass.",
+                self.batch_sizes))
+        return Collected(families, {
+            "queue_depth": depth, "max_queue": self.max_queue,
+            "workers": self.workers, "busy_seconds": busy,
+            "utilization": utilization, "closed": closed})
 
     # ------------------------------------------------------------------
     def submit(self, graph: MultiplexGraph,

@@ -34,6 +34,19 @@ import time
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
+from ..obs.metrics import Collected, dict_families
+
+#: (snapshot() key, family, kind, HELP)
+_FAMILIES = (
+    ("keys", "breaker_keys", "gauge",
+     "Fingerprints tracked by the circuit breaker."),
+    ("open", "breaker_open", "gauge", "Fingerprints currently tripped open."),
+    ("trips", "breaker_trips_total", "counter",
+     "Closed-to-open breaker transitions."),
+    ("rejections", "breaker_rejections_total", "counter",
+     "Requests refused by an open breaker."),
+)
+
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
@@ -170,6 +183,11 @@ class CircuitBreaker:
                 "trips": self.trips,
                 "rejections": self.rejections,
             }
+
+    def collect(self) -> Collected:
+        """The ``breaker_*`` families; the snapshot is the health entry."""
+        snap = self.snapshot()
+        return Collected(dict_families(snap, _FAMILIES), snap)
 
 
 __all__ = ["CLOSED", "CircuitBreaker", "HALF_OPEN", "OPEN"]

@@ -25,6 +25,8 @@ from .. import chaos
 from ..graphs.io import graph_fingerprint
 from ..graphs.multiplex import MultiplexGraph
 from ..obs.hist import DURATION_BOUNDS, Histogram
+from ..obs.metrics import (Collected, counter, family, gauge, histogram,
+                           render)
 from ..obs.runtime import RuntimeSampler
 from ..obs.trace import TraceStore, annotate, span
 from ..serve.registry import ModelRegistry
@@ -35,7 +37,6 @@ from ..stream.monitor import StreamMonitor
 from ..stream.wal import WriteAheadLog
 from .batcher import DeadlineExceeded, MicroBatcher
 from .breaker import CircuitBreaker
-from .metrics import MetricsRegistry
 from .protocol import (
     ProtocolError,
     graph_from_payload,
@@ -103,7 +104,7 @@ class Gateway:
         (``slo_min_samples`` gates the live compliance judgement).
     sample_interval:
         Seconds between background process-telemetry samples (RSS, GC,
-        FDs) feeding ``/metrics``.
+        FDs) feeding ``/metrics`` and ``/healthz?deep=1``.
     """
 
     def __init__(self, service: DetectorService, *,
@@ -536,192 +537,78 @@ class Gateway:
     # ------------------------------------------------------------------
     # GET /healthz + GET /metrics
     # ------------------------------------------------------------------
+    def _collect(self) -> Dict[str, Collected]:
+        """One ``collect()`` per live component, keyed by its deep-health
+        name: a scrape and a deep probe each read every component once."""
+        collected = {
+            "service": self.service.collect(graphs=(self._base_graph,)),
+            "batcher": self.batcher.collect(),
+            "runtime": self.sampler.collect(),
+            "slo": self.slo.collect(),
+            "breaker": self.breaker.collect(),
+        }
+        if self.pool is not None:
+            collected["pool"] = self.pool.collect()
+        monitor = self.monitor
+        if monitor is not None:
+            collected["stream"] = monitor.collect()
+        return collected
+
     def health(self, deep: bool = False) -> dict:
         """``GET /healthz`` payload; ``deep=True`` adds per-component
         status (``?deep=1``). ``status`` rolls up the SLO tracker —
         ``failing`` (sustained burn) makes the HTTP layer answer 503."""
+        if deep:
+            components = {name: entry.health
+                          for name, entry in self._collect().items()}
+            if self.pool is None and self.pool_fallback_reason is not None:
+                components["pool"] = {"fallback": "thread",
+                                      "reason": self.pool_fallback_reason}
+            status = components["slo"]["status"]
+            depth = components["batcher"]["queue_depth"]
+        else:
+            status, depth = self.slo.status(), self.batcher.queue_depth
         payload = {
-            "status": self.slo.status(),
+            "status": status,
             "server": SERVER_NAME,
             "api": API_VERSION,
             "detector": type(self.service.detector).__name__,
             "active_model": self.active_model,
             "uptime_seconds": self.uptime_seconds,
-            "queue_depth": self.batcher.queue_depth,
+            "queue_depth": depth,
             "exec_tier": self.exec_tier,
         }
         if deep:
-            payload["components"] = self._component_health()
+            payload["components"] = components
         return payload
 
-    def _component_health(self) -> dict:
-        """Per-component deep-health detail (``/healthz?deep=1``)."""
-        stats = self.service.stats
-        cache = self.service.cache_info()
-        trained = self.service.trained_fingerprint
-        uptime = self.uptime_seconds
-        busy = self.batcher.busy_seconds
-        capacity = self.batcher.workers * uptime
-        sample = self.sampler.refresh()   # health wants fresh RSS, not stale
-        components = {
-            "service": {
-                "warm": trained is not None and self.service.is_warm(trained),
-                "cache_entries": cache["entries"],
-                "cache_capacity": cache["capacity"],
-                "cache_bytes": cache["bytes"],
-                "inflight": cache["inflight"],
-                "hit_rate": stats.hit_rate,
-            },
-            "batcher": {
-                "queue_depth": self.batcher.queue_depth,
-                "max_queue": self.batcher.max_queue,
-                "workers": self.batcher.workers,
-                "busy_seconds": busy,
-                "utilization": busy / capacity if capacity > 0 else 0.0,
-                "closed": self.batcher.closed,
-            },
-            "runtime": sample.to_dict(),
-            "slo": self.slo.snapshot(),
-            "breaker": self.breaker.snapshot(),
-        }
-        if self.pool is not None:
-            components["pool"] = {
-                **self.pool.stats(),
-                "worker_infos": self.pool.worker_infos(),
-            }
-        elif self.pool_fallback_reason is not None:
-            components["pool"] = {
-                "fallback": "thread",
-                "reason": self.pool_fallback_reason,
-            }
-        monitor = self.monitor
-        if monitor is not None:
-            components["stream"] = monitor.stats_dict()
-        return components
-
     def metrics_text(self) -> str:
-        registry = MetricsRegistry(prefix="repro")
-        registry.gauge("server_uptime_seconds",
-                       "Seconds since the gateway started.",
-                       self.uptime_seconds)
+        collected = self._collect()
+        families = [
+            gauge("server_uptime_seconds",
+                  "Seconds since the gateway started.", self.uptime_seconds),
+            gauge("server_queue_depth",
+                  "Admitted score requests not yet resolved.",
+                  collected["batcher"].health["queue_depth"]),
+            counter("degraded_responses_total",
+                    "Score responses served from stale scores.",
+                    self._degraded_served),
+        ]
         with self._counter_lock:
-            samples = [({"endpoint": endpoint, "status": str(status)}, count)
-                       for (endpoint, status), count
-                       in sorted(self._requests.items())]
-        if samples:
-            registry.add("server_requests_total", "counter",
-                         "HTTP requests answered, by endpoint and status.",
-                         samples)
-        registry.gauge("server_queue_depth",
-                       "Admitted score requests not yet resolved.",
-                       self.batcher.queue_depth)
-        batcher = self.batcher.stats
-        registry.counter("batcher_submitted_total",
-                         "Score requests admitted.", batcher.submitted)
-        registry.counter("batcher_completed_total",
-                         "Score requests answered.", batcher.completed)
-        registry.counter("batcher_failed_total",
-                         "Score requests failed in scoring.", batcher.failed)
-        registry.counter("batcher_rejected_total",
-                         "Score requests refused at admission.",
-                         batcher.rejected)
-        registry.counter("batcher_batches_total",
-                         "Scoring passes run (batched groups).",
-                         batcher.batches)
-        registry.counter("batcher_coalesced_total",
-                         "Requests that joined an open batch.",
-                         batcher.coalesced)
-        registry.gauge("batcher_largest_batch",
-                       "Largest batch answered by one scoring pass.",
-                       batcher.largest_batch)
-        registry.counter("batcher_expired_total",
-                         "Score requests dropped on an expired deadline.",
-                         batcher.expired)
-        registry.counter("batcher_worker_crashes_total",
-                         "Batcher workers killed by unexpected exceptions.",
-                         batcher.worker_crashes)
-        registry.counter("batcher_worker_respawns_total",
-                         "Replacement workers started by the watchdog.",
-                         batcher.worker_respawns)
-        registry.counter("batcher_rescued_groups_total",
-                         "Batch groups re-queued after a worker crash.",
-                         batcher.rescued)
-        breaker = self.breaker.snapshot()
-        registry.gauge("breaker_keys",
-                       "Fingerprints tracked by the circuit breaker.",
-                       breaker["keys"])
-        registry.gauge("breaker_open",
-                       "Fingerprints currently tripped open.",
-                       breaker["open"])
-        registry.counter("breaker_trips_total",
-                         "Closed-to-open breaker transitions.",
-                         breaker["trips"])
-        registry.counter("breaker_rejections_total",
-                         "Requests refused by an open breaker.",
-                         breaker["rejections"])
-        registry.counter("degraded_responses_total",
-                         "Score responses served from stale scores.",
-                         self._degraded_served)
-        stats = self.service.stats
-        registry.counter("service_cache_hits_total",
-                         "DetectorService cache hits.", stats.hits)
-        registry.counter("service_cache_misses_total",
-                         "DetectorService cache misses (scoring passes).",
-                         stats.misses)
-        registry.counter("service_cache_evictions_total",
-                         "DetectorService LRU evictions.", stats.evictions)
-        registry.counter("service_refits_total",
-                         "Detector hot-swaps (activations + refits).",
-                         stats.refits)
-        registry.counter("service_refit_epochs_total",
-                         "Training epochs spent across refits.",
-                         stats.refit_epochs)
-        registry.counter("service_refit_seconds_total",
-                         "Training seconds spent across refits.",
-                         stats.refit_seconds)
-        monitor = self.monitor
-        if monitor is not None:
-            registry.counter("monitor_events_total",
-                             "Stream events consumed.",
-                             monitor.events_consumed)
-            registry.counter("monitor_windows_total",
-                             "Stream windows scored.",
-                             monitor.windows_scored)
-            registry.counter("monitor_alerts_total",
-                             "Stream alerts raised.", monitor.alerts_raised)
-            registry.gauge("monitor_buffered_events",
-                           "Events buffered toward the next window.",
-                           monitor.buffered)
-            if monitor.wal is not None:
-                wal = monitor.wal.stats
-                registry.counter("wal_appends_total",
-                                 "Records durably appended to the WAL.",
-                                 wal.appends)
-                registry.counter("wal_bytes_total",
-                                 "Bytes written to WAL segments.",
-                                 wal.bytes_written)
-                registry.counter("wal_segments_created_total",
-                                 "WAL segment files created.",
-                                 wal.segments_created)
-                registry.counter("wal_segments_pruned_total",
-                                 "WAL segments deleted after snapshots.",
-                                 wal.segments_pruned)
-                registry.counter("wal_records_replayed_total",
-                                 "Records replayed during recovery.",
-                                 wal.records_replayed)
-                registry.gauge("wal_last_seq",
-                               "Highest WAL sequence number written.",
-                               monitor.wal.last_seq)
-                registry.gauge("wal_recovered",
-                               "1 when the stream state was restored from "
-                               "a WAL at startup.", int(monitor.recovered))
+            requests = sorted(self._requests.items())
+        if requests:
+            families.append(family(
+                "server_requests_total", "counter",
+                "HTTP requests answered, by endpoint and status.",
+                [({"endpoint": endpoint, "status": str(status)}, count)
+                 for (endpoint, status), count in requests]))
         chaos_stats = chaos.stats()
         if chaos_stats:
-            registry.add(
+            families.append(family(
                 "chaos_triggers_total", "counter",
                 "Faults fired by the chaos injection layer, by point.",
                 [({"point": point}, info["triggered"])
-                 for point, info in sorted(chaos_stats.items())])
+                 for point, info in sorted(chaos_stats.items())]))
         with self._hist_lock:
             endpoint_series = [({"endpoint": name}, hist.snapshot())
                                for name, hist
@@ -730,220 +617,18 @@ class Gateway:
                             for name, hist
                             in sorted(self._stage_hist.items())]
         if endpoint_series:
-            registry.histogram(
+            families.append(histogram(
                 "http_request_duration_seconds",
                 "Wall time per answered HTTP request, by endpoint.",
-                endpoint_series)
+                endpoint_series))
         if stage_series:
-            registry.histogram(
+            families.append(histogram(
                 "stage_duration_seconds",
                 "Wall time per traced pipeline stage (span name).",
-                stage_series)
-        if self.batcher.queue_wait.count:
-            registry.histogram(
-                "batcher_queue_wait_seconds",
-                "Seconds between request admission and its batch starting.",
-                self.batcher.queue_wait)
-        if self.batcher.batch_sizes.count:
-            registry.histogram(
-                "batcher_batch_size",
-                "Requests answered per scoring pass.",
-                self.batcher.batch_sizes)
-        self._render_runtime_metrics(registry)
-        self._render_cache_metrics(registry)
-        self._render_slo_metrics(registry)
-        self._render_pool_metrics(registry)
-        return registry.render()
-
-    def _render_runtime_metrics(self, registry: MetricsRegistry) -> None:
-        """Process gauges from the background sampler (RSS/GC/threads/FDs)."""
-        sample = self.sampler.latest()
-        if sample.rss_bytes is not None:
-            registry.gauge("process_resident_memory_bytes",
-                           "Resident set size (/proc/self/statm).",
-                           sample.rss_bytes)
-        if sample.peak_rss_bytes is not None:
-            registry.gauge("process_peak_resident_memory_bytes",
-                           "Peak resident set size (getrusage ru_maxrss).",
-                           sample.peak_rss_bytes)
-        if sample.open_fds is not None:
-            registry.gauge("process_open_fds",
-                           "Open file descriptors (/proc/self/fd).",
-                           sample.open_fds)
-        registry.gauge("process_threads",
-                       "Live python threads (threading.active_count).",
-                       sample.threads)
-        if sample.gc_stats:
-            registry.add(
-                "python_gc_collections_total", "counter",
-                "GC collections run, by generation.",
-                [({"generation": str(gen)}, stat["collections"])
-                 for gen, stat in enumerate(sample.gc_stats)])
-            registry.add(
-                "python_gc_collected_objects_total", "counter",
-                "Objects reclaimed by the GC, by generation.",
-                [({"generation": str(gen)}, stat["collected"])
-                 for gen, stat in enumerate(sample.gc_stats)])
-        registry.counter("runtime_samples_total",
-                         "Background process-telemetry samples captured.",
-                         self.sampler.samples_taken)
-        registry.counter("runtime_sample_seconds_total",
-                         "Wall seconds spent capturing runtime samples.",
-                         self.sampler.sample_seconds)
-
-    def _render_cache_metrics(self, registry: MetricsRegistry) -> None:
-        """Service result-cache and per-relation operator-cache occupancy."""
-        cache = self.service.cache_info()
-        registry.gauge("service_cache_entries",
-                       "Graphs resident in the DetectorService LRU cache.",
-                       cache["entries"])
-        registry.gauge("service_cache_bytes",
-                       "Bytes pinned by the DetectorService LRU cache.",
-                       cache["bytes"])
-        per_relation: Dict[str, Dict[str, int]] = {}
-        seen: set = set()
-        # The long-lived graphs whose operator caches grow with traffic:
-        # the trained graph and the stream builder's seed snapshot.
-        graphs = [getattr(self.service.detector, "_graph", None),
-                  self._base_graph]
-        for graph in graphs:
-            if graph is None or id(graph) in seen:
-                continue
-            seen.add(id(graph))
-            for name, relation in graph:
-                info = relation.cache_info()
-                slot = per_relation.setdefault(name,
-                                               {"entries": 0, "bytes": 0})
-                slot["entries"] += info["entries"]
-                slot["bytes"] += info["bytes"]
-        if per_relation:
-            registry.add(
-                "propagator_cache_entries", "gauge",
-                "Lazily-built graph operators resident, by relation.",
-                [({"relation": name}, info["entries"])
-                 for name, info in sorted(per_relation.items())])
-            registry.add(
-                "propagator_cache_bytes", "gauge",
-                "Bytes held by cached graph operators, by relation.",
-                [({"relation": name}, info["bytes"])
-                 for name, info in sorted(per_relation.items())])
-        uptime = self.uptime_seconds
-        busy = self.batcher.busy_seconds
-        capacity = self.batcher.workers * uptime
-        registry.gauge("batcher_workers",
-                       "Batcher worker threads.", self.batcher.workers)
-        registry.counter("batcher_busy_seconds_total",
-                         "Wall seconds workers spent on batch groups.",
-                         busy)
-        registry.gauge("batcher_utilization_ratio",
-                       "Share of worker capacity spent on batch groups.",
-                       busy / capacity if capacity > 0 else 0.0)
-
-    def _render_pool_metrics(self, registry: MetricsRegistry) -> None:
-        """Process-tier gauges/counters (``pool_*``); absent on threads."""
-        pool = self.pool
-        if pool is None:
-            return
-        stats = pool.stats()
-        registry.gauge("pool_workers",
-                       "Scoring worker processes configured.",
-                       stats["workers"])
-        registry.gauge("pool_workers_alive",
-                       "Scoring worker processes currently alive.",
-                       stats["workers_alive"])
-        registry.counter("pool_dispatches_total",
-                         "Batches dispatched to worker processes.",
-                         stats["dispatches"])
-        registry.counter("pool_retries_total",
-                         "Batches retried after a worker crash or stall.",
-                         stats["retries"])
-        registry.counter("pool_worker_deaths_total",
-                         "Worker processes that died and were respawned.",
-                         stats["worker_deaths"])
-        registry.gauge("pool_generation",
-                       "Active shared-checkpoint generation.",
-                       stats["shm_generation"])
-        registry.gauge("pool_shm_generations_live",
-                       "Checkpoint generations still mapped (in-flight "
-                       "batches pin retired ones).",
-                       stats["shm_generations_live"])
-        registry.gauge("pool_shm_segments",
-                       "Shared-memory segments currently linked.",
-                       stats["shm_segments"])
-        registry.gauge("pool_shm_bytes",
-                       "Bytes of checkpoint payload in shared memory "
-                       "(one copy per machine).",
-                       stats["shm_bytes"])
-        registry.gauge("pool_shm_refs",
-                       "In-flight batch references pinning generations.",
-                       stats["shm_refs"])
-        registry.counter("pool_shm_retired_total",
-                         "Retired generations whose segments were unlinked.",
-                         stats["shm_retired_unlinked"])
-        infos = pool.worker_infos()
-        if infos:
-            registry.add(
-                "pool_worker_alive", "gauge",
-                "1 when the scoring worker process is alive, by worker.",
-                [({"worker": str(i["worker"])}, 1 if i["alive"] else 0)
-                 for i in infos])
-            registry.add(
-                "pool_worker_requests_total", "counter",
-                "Batches answered, by worker process.",
-                [({"worker": str(i["worker"])}, i["requests"])
-                 for i in infos])
-            registry.add(
-                "pool_worker_respawns_total", "counter",
-                "Times the worker slot was respawned, by worker.",
-                [({"worker": str(i["worker"])}, i["respawns"])
-                 for i in infos])
-            registry.add(
-                "pool_worker_resident_memory_bytes", "gauge",
-                "Resident set size of the scoring worker, by worker.",
-                [({"worker": str(i["worker"])}, i["rss_bytes"])
-                 for i in infos])
-
-    def _render_slo_metrics(self, registry: MetricsRegistry) -> None:
-        """Per-endpoint rolling SLO gauges + window burn counters."""
-        statuses = self.slo.statuses()
-        if not statuses:
-            return
-        objective = self.slo.objective
-        p50s, p99s, errors, samples, compliant = [], [], [], [], []
-        objectives, windows, burns = [], [], []
-        for endpoint, status in statuses.items():
-            labels = {"endpoint": endpoint}
-            if status.p50_seconds is not None:
-                p50s.append((labels, status.p50_seconds))
-                p99s.append((labels, status.p99_seconds))
-                errors.append((labels, status.error_ratio))
-            samples.append((labels, status.samples))
-            compliant.append((labels, 1 if status.compliant else 0))
-            objectives.append((labels, objective.p99_seconds))
-            windows.append((labels, status.windows))
-            burns.append((labels, status.burn_windows))
-        if p50s:
-            registry.add("slo_latency_p50_seconds", "gauge",
-                         "Rolling-window p50 latency, by endpoint.", p50s)
-            registry.add("slo_latency_p99_seconds", "gauge",
-                         "Rolling-window p99 latency, by endpoint.", p99s)
-            registry.add("slo_error_ratio", "gauge",
-                         "Rolling-window 5xx share, by endpoint.", errors)
-        registry.add("slo_window_samples", "gauge",
-                     "Observations in the rolling window, by endpoint.",
-                     samples)
-        registry.add("slo_compliant", "gauge",
-                     "1 when the rolling window meets the objective.",
-                     compliant)
-        registry.add("slo_objective_p99_seconds", "gauge",
-                     "Configured p99 latency objective, by endpoint.",
-                     objectives)
-        registry.add("slo_windows_total", "counter",
-                     "Completed tumbling SLO windows, by endpoint.",
-                     windows)
-        registry.add("slo_burn_windows_total", "counter",
-                     "Completed windows that violated the objective.",
-                     burns)
+                stage_series))
+        for entry in collected.values():
+            families += entry.families
+        return render(families)
 
     # ------------------------------------------------------------------
     def close(self) -> dict:

@@ -32,8 +32,10 @@ import math
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
+
+from ..obs.metrics import Collected, family
 
 
 def nearest_rank(values: Sequence[float], q: float) -> float:
@@ -125,6 +127,26 @@ class EndpointStatus:
             "burn_windows": self.burn_windows,
             "burning": self.burning,
         }
+
+
+#: (EndpointStatus.to_dict() key, family, kind, HELP); an endpoint whose
+#: value is None (an empty ring) is left out of that family
+_ENDPOINT_FAMILIES = (
+    ("p50_seconds", "slo_latency_p50_seconds", "gauge",
+     "Rolling-window p50 latency, by endpoint."),
+    ("p99_seconds", "slo_latency_p99_seconds", "gauge",
+     "Rolling-window p99 latency, by endpoint."),
+    ("error_ratio", "slo_error_ratio", "gauge",
+     "Rolling-window 5xx share, by endpoint."),
+    ("samples", "slo_window_samples", "gauge",
+     "Observations in the rolling window, by endpoint."),
+    ("compliant", "slo_compliant", "gauge",
+     "1 when the rolling window meets the objective."),
+    ("windows", "slo_windows_total", "counter",
+     "Completed tumbling SLO windows, by endpoint."),
+    ("burn_windows", "slo_burn_windows_total", "counter",
+     "Completed windows that violated the objective."),
+)
 
 
 class SLOTracker:
@@ -219,33 +241,42 @@ class SLOTracker:
             return self._endpoint_status_locked(endpoint, state)
 
     def statuses(self) -> Dict[str, EndpointStatus]:
+        return self._read()[0]
+
+    def _read(self) -> Tuple[Dict[str, EndpointStatus], List[WindowSummary]]:
+        """One locked read: per-endpoint statuses, by endpoint, and every
+        retained window, oldest first."""
         with self._lock:
-            return {endpoint: self._endpoint_status_locked(endpoint, state)
-                    for endpoint, state in sorted(self._endpoints.items())}
+            statuses = {endpoint: self._endpoint_status_locked(endpoint,
+                                                               state)
+                        for endpoint, state in sorted(self._endpoints.items())}
+            merged = [summary for state in self._endpoints.values()
+                      for summary in state.history]
+        merged.sort(key=lambda summary: summary.completed_unix)
+        return statuses, merged
 
     def windows(self, limit: Optional[int] = None) -> List[WindowSummary]:
         """Completed windows across endpoints, oldest first."""
-        with self._lock:
-            merged: List[WindowSummary] = []
-            for state in self._endpoints.values():
-                merged.extend(state.history)
-        merged.sort(key=lambda summary: summary.completed_unix)
-        if limit is not None:
-            merged = merged[-limit:]
-        return merged
+        merged = self._read()[1]
+        return merged if limit is None else merged[-limit:]
 
-    def status(self) -> str:
-        """``ok`` | ``degraded`` | ``failing`` rolled up over endpoints."""
-        statuses = self.statuses()
+    @staticmethod
+    def _rollup(statuses: Dict[str, EndpointStatus],
+                windows: List[WindowSummary]) -> str:
+        last = {summary.endpoint: summary for summary in windows}
         if any(status.burning for status in statuses.values()):
             return "failing"
         for status in statuses.values():
-            last = self.last_window(status.endpoint)
-            if last is not None and not last.compliant:
+            window = last.get(status.endpoint)
+            if window is not None and not window.compliant:
                 return "degraded"
             if status.judged and not status.compliant:
                 return "degraded"
         return "ok"
+
+    def status(self) -> str:
+        """``ok`` | ``degraded`` | ``failing`` rolled up over endpoints."""
+        return self._rollup(*self._read())
 
     def last_window(self, endpoint: str) -> Optional[WindowSummary]:
         with self._lock:
@@ -256,16 +287,36 @@ class SLOTracker:
 
     def snapshot(self, window_limit: int = 8) -> dict:
         """The deep-health payload fragment."""
-        return {
-            "status": self.status(),
+        return self.collect(window_limit).health
+
+    def collect(self, window_limit: int = 8) -> Collected:
+        """Per-endpoint ``slo_*`` families and the deep-health fragment
+        (its ``status`` is the rollup ``/healthz`` reports)."""
+        statuses, windows = self._read()
+        endpoints = {endpoint: status.to_dict()
+                     for endpoint, status in statuses.items()}
+        families = []
+        for key, name, kind, help_text in _ENDPOINT_FAMILIES:
+            series = [({"endpoint": endpoint}, row[key])
+                      for endpoint, row in endpoints.items()
+                      if row[key] is not None]
+            if series:
+                families.append(family(name, kind, help_text, series))
+        if endpoints:
+            families.append(family(
+                "slo_objective_p99_seconds", "gauge",
+                "Configured p99 latency objective, by endpoint.",
+                [({"endpoint": endpoint}, self.objective.p99_seconds)
+                 for endpoint in endpoints]))
+        return Collected(families, {
+            "status": self._rollup(statuses, windows),
             "objective": self.objective.to_dict(),
             "window": self.window,
             "sustain": self.sustain,
-            "endpoints": {endpoint: status.to_dict()
-                          for endpoint, status in self.statuses().items()},
+            "endpoints": endpoints,
             "windows": [summary.to_dict()
-                        for summary in self.windows(limit=window_limit)],
-        }
+                        for summary in windows[-window_limit:]],
+        })
 
 
 __all__ = [

@@ -37,6 +37,7 @@ from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tu
 import numpy as np
 
 from ..detection import BaseDetector
+from ..obs.metrics import Collected, dict_families, stat_families
 from ..obs.trace import span
 from ..serve.service import DetectorService
 from .builder import IncrementalGraphBuilder
@@ -49,6 +50,21 @@ from .wal import (
     snapshot_meta,
 )
 
+#: (stats_dict() key, family, kind, HELP); the wal_* keys need a WAL
+_FAMILIES = (
+    ("events_consumed", "monitor_events_total", "counter",
+     "Stream events consumed."),
+    ("windows_scored", "monitor_windows_total", "counter",
+     "Stream windows scored."),
+    ("alerts_raised", "monitor_alerts_total", "counter",
+     "Stream alerts raised."),
+    ("buffered", "monitor_buffered_events", "gauge",
+     "Events buffered toward the next window."),
+    ("wal_last_seq", "wal_last_seq", "gauge",
+     "Highest WAL sequence number written."),
+    ("recovered", "wal_recovered", "gauge",
+     "1 when the stream state was restored from a WAL at startup."),
+)
 
 # ---------------------------------------------------------------------------
 # Drift statistics
@@ -445,6 +461,15 @@ class StreamMonitor:
             stats["recovered"] = int(self.recovered)
             stats["wal_last_seq"] = self.wal.last_seq
         return stats
+
+    def collect(self) -> Collected:
+        """The ``monitor_*`` families, plus its WAL's ``wal_*`` families;
+        :meth:`stats_dict` is the deep-health entry."""
+        stats = self.stats_dict()
+        families = dict_families(stats, _FAMILIES)
+        if self.wal is not None:
+            families += stat_families(self.wal.stats, "wal")
+        return Collected(families, stats)
 
     # ------------------------------------------------------------------
     def _score_window(self, batch: List[Event]) -> WindowReport:

@@ -58,7 +58,7 @@ import pathlib
 import struct
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -67,6 +67,7 @@ from ..graphs.graph import RelationGraph, check_canonical
 from ..graphs.io import _RELATION_PREFIX, graph_fingerprint
 from ..graphs.multiplex import MultiplexGraph
 from ..obs.log import get_logger
+from ..obs.metrics import metric
 from .builder import IncrementalGraphBuilder
 from .events import Event, parse_event
 
@@ -108,16 +109,19 @@ class WalCorruptionError(RuntimeError):
 class WalStats:
     """Counters for one :class:`WriteAheadLog` (exported via /metrics)."""
 
-    appends: int = 0
-    bytes_written: int = 0
-    segments_created: int = 0
-    segments_pruned: int = 0
-    records_replayed: int = 0
+    appends: int = metric("counter", "Records durably appended to the WAL.")
+    bytes_written: int = metric("counter", "Bytes written to WAL segments.",
+                                name="bytes")
+    segments_created: int = metric("counter", "WAL segment files created.")
+    segments_pruned: int = metric("counter",
+                                  "WAL segments deleted after snapshots.")
+    records_replayed: int = metric("counter",
+                                   "Records replayed during recovery.")
     #: 1 when opening the log truncated a torn tail record
     torn_tail_truncated: int = 0
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return asdict(self)
 
 
 _HEADER_BYTES = len(_MAGIC) + _BASE.size

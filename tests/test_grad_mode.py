@@ -117,6 +117,100 @@ class TestGradModeSemantics:
         assert is_grad_enabled()
 
 
+class TestPerThreadGradMode:
+    """The mode belongs to the calling thread: one thread's ``no_grad()``
+    neither leaks into nor is undone by another thread."""
+
+    def test_threads_do_not_see_each_others_mode(self):
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def scorer():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=10)
+                seen.append(is_grad_enabled())
+
+        thread = threading.Thread(target=scorer)
+        thread.start()
+        assert entered.wait(timeout=10)
+        assert is_grad_enabled()          # the other thread's no_grad()
+        with no_grad():                   # and ours, exited first,
+            pass                          # leaves the other one's on
+        release.set()
+        thread.join(timeout=10)
+        assert seen == [False]
+
+    def test_new_thread_starts_enabled_copied_context_inherits(self):
+        import contextvars
+        import threading
+
+        seen = {}
+        with no_grad():
+            fresh = threading.Thread(
+                target=lambda: seen.setdefault("fresh", is_grad_enabled()))
+            copied = threading.Thread(
+                target=contextvars.copy_context().run,
+                args=(lambda: seen.setdefault("copied", is_grad_enabled()),))
+            for thread in (fresh, copied):
+                thread.start()
+                thread.join(timeout=10)
+        assert seen == {"fresh": True, "copied": False}
+
+    def test_concurrent_scoring_and_fit_match_serial_runs(self):
+        """Six threads score one model while a seventh fits another, with
+        the interpreter switching threads every microsecond: every pass
+        equals a serial pass bit for bit and the fit's losses equal a
+        solo fit's."""
+        import sys
+        import threading
+
+        from repro.core import UMGAD, UMGADConfig
+
+        rng = np.random.default_rng(3)
+        train = random_multiplex(50, 2, 8, rng, avg_degree=4.0)
+        fresh = random_multiplex(40, 2, 8, rng, avg_degree=4.0)
+        config = UMGADConfig(epochs=3, mask_repeats=1, hidden_dim=8, seed=1)
+        scorer = UMGAD(config).fit(train)
+        serial = scorer.score_graph(fresh).tobytes()
+        solo_losses = list(UMGAD(config).fit(train).loss_history)
+
+        passes, losses, errors = [], [], []
+
+        def score():
+            try:
+                for _ in range(3):
+                    passes.append(scorer.score_graph(fresh).tobytes())
+            except Exception as exc:   # surfaced by the assert below
+                errors.append(exc)
+
+        def fit():
+            try:
+                with enable_grad():
+                    losses.extend(UMGAD(config).fit(train).loss_history)
+            except Exception as exc:
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=score) for _ in range(6)]
+            threads.append(threading.Thread(target=fit))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(passes) == 18
+        assert all(run == serial for run in passes)
+        assert losses == solo_losses
+
+
 # ---------------------------------------------------------------------------
 # Ops honor the mode
 # ---------------------------------------------------------------------------

@@ -56,10 +56,10 @@ from repro.obs import (
     use_span,
     validate_exposition,
 )
+from repro.obs.metrics import counter, family, gauge, histogram, render
 from repro.serve import DetectorService
 from repro.server import (
     Gateway,
-    MetricsRegistry,
     MicroBatcher,
     ServerClient,
     ServerClientError,
@@ -474,20 +474,18 @@ class TestPromlint:
 # ---------------------------------------------------------------------------
 class TestMetricsRenderer:
     def test_counter_gets_total_suffix(self):
-        registry = MetricsRegistry(prefix="t")
-        registry.counter("hits", "Cache hits.", 3)
-        registry.counter("misses_total", "Cache misses.", 1)
-        text = registry.render()
+        text = render([counter("hits", "Cache hits.", 3),
+                       counter("misses_total", "Cache misses.", 1)],
+                      prefix="t")
         assert "t_hits_total 3" in text
         assert "t_misses_total 1" in text
         assert "t_misses_total_total" not in text
         assert_valid_exposition(text)
 
     def test_small_floats_render_non_scientific(self):
-        registry = MetricsRegistry(prefix="t")
-        registry.gauge("tiny", "A sub-1e-4 value.", 1e-05)
-        registry.gauge("huge", "A past-1e16 value.", 2.5e17)
-        text = registry.render()
+        text = render([gauge("tiny", "A sub-1e-4 value.", 1e-05),
+                       gauge("huge", "A past-1e16 value.", 2.5e17)],
+                      prefix="t")
         assert "t_tiny 0.00001\n" in text
         huge_line = next(line for line in text.splitlines()
                          if line.startswith("t_huge "))
@@ -495,11 +493,9 @@ class TestMetricsRenderer:
         assert_valid_exposition(text)
 
     def test_special_values_render_prometheus_style(self):
-        registry = MetricsRegistry(prefix="t")
-        registry.gauge("up", "inf", math.inf)
-        registry.gauge("down", "-inf", -math.inf)
-        registry.gauge("unknown", "nan", math.nan)
-        text = registry.render()
+        text = render([gauge("up", "inf", math.inf),
+                       gauge("down", "-inf", -math.inf),
+                       gauge("unknown", "nan", math.nan)], prefix="t")
         assert "t_up +Inf" in text
         assert "t_down -Inf" in text
         assert "t_unknown NaN" in text
@@ -509,9 +505,8 @@ class TestMetricsRenderer:
         hist = Histogram((0.1, 1.0))
         for value in (0.05, 0.5, 5.0):
             hist.observe(value)
-        registry = MetricsRegistry(prefix="t")
-        registry.histogram("latency_seconds", "Latency.", hist)
-        text = registry.render()
+        text = render([histogram("latency_seconds", "Latency.", hist)],
+                      prefix="t")
         assert 't_latency_seconds_bucket{le="0.1"} 1' in text
         assert 't_latency_seconds_bucket{le="1.0"} 2' in text
         assert 't_latency_seconds_bucket{le="+Inf"} 3' in text
@@ -523,20 +518,18 @@ class TestMetricsRenderer:
         fast, slow = Histogram((0.1,)), Histogram((0.1,))
         fast.observe(0.01)
         slow.observe(3.0)
-        registry = MetricsRegistry(prefix="t")
-        registry.histogram("stage_seconds", "Per-stage latency.",
-                           [({"stage": "fast"}, fast.snapshot()),
-                            ({"stage": "slow"}, slow.snapshot())])
-        text = registry.render()
+        text = render([histogram("stage_seconds", "Per-stage latency.",
+                                 [({"stage": "fast"}, fast.snapshot()),
+                                  ({"stage": "slow"}, slow.snapshot())])],
+                      prefix="t")
         assert 't_stage_seconds_bucket{stage="fast",le="0.1"} 1' in text
         assert 't_stage_seconds_bucket{stage="slow",le="0.1"} 0' in text
         assert 't_stage_seconds_count{stage="slow"} 1' in text
         assert_valid_exposition(text)
 
     def test_rejects_unknown_kind(self):
-        registry = MetricsRegistry(prefix="t")
         with pytest.raises(ValueError):
-            registry.add("x", "summary", "no", [(None, 1)])
+            family("x", "summary", "no", [(None, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ import pytest
 
 from repro.detection import BaseDetector
 from repro.graphs import graph_fingerprint, random_multiplex
+from repro.obs.metrics import counter, family, render
 from repro.serve import DetectorService, ModelRegistry
 from repro.server import (
     AdmissionError,
     Gateway,
     GatewayError,
-    MetricsRegistry,
     MicroBatcher,
     ProtocolError,
     ServerClient,
@@ -100,10 +100,9 @@ class TestProtocol:
         assert graph["a"].num_edges == 1
 
     def test_metrics_renderer(self):
-        registry = MetricsRegistry(prefix="t")
-        registry.counter("hits_total", "Hits.", 3)
-        registry.gauge("depth", "Depth.", 1.5, labels={"pool": "a"})
-        text = registry.render()
+        text = render([counter("hits_total", "Hits.", 3),
+                       family("depth", "gauge", "Depth.",
+                              [({"pool": "a"}, 1.5)])], prefix="t")
         assert "# TYPE t_hits_total counter" in text
         assert "t_hits_total 3" in text
         assert 't_depth{pool="a"} 1.5' in text
