@@ -1,28 +1,18 @@
-"""Benchmark harness configuration.
+"""Paper table and figure reproduction: shared configuration.
 
-Each benchmark regenerates one paper table/figure through its
-``repro.experiments`` module at the FAST profile (single seed, scaled-down
-datasets) so the whole suite completes on a laptop. The same modules rerun
-at ``FULL`` produce the EXPERIMENTS.md numbers. Rendered outputs are written
-to ``benchmarks/output/``.
-
-Every timing additionally lands in the **performance ledger**: the
-module-scoped ``ledger`` fixture collects :class:`repro.obs.bench.BenchmarkRecord`
-entries (repetition values, median/MAD, peak RSS, environment fingerprint)
-and writes ``benchmarks/output/ledger/<suite>.json`` when the module
-finishes. ``REPRO_LEDGER_DIR`` overrides the output directory — the CI
-perf-ledger job runs the same suite into two directories back-to-back and
-asserts ``repro bench diff`` comes up clean.
+Each test regenerates one paper table/figure through its
+``repro.experiments`` module at the ``bench`` profile (single seed,
+scaled-down datasets) so the whole suite completes on a laptop. The same
+modules rerun at ``FULL`` produce the EXPERIMENTS.md numbers. Rendered
+outputs are written to ``benchmarks/output/``. Nothing here times the
+code: ``perfbench/run.py`` is the repository's benchmark harness.
 """
 
-import os
 import pathlib
 
 import pytest
 
 from repro.experiments import ExperimentProfile, clear_dataset_cache
-from repro.obs.bench import Ledger
-from repro.obs.runtime import peak_rss_bytes
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -50,45 +40,6 @@ def _cache_lifecycle():
     clear_dataset_cache()
     yield
     clear_dataset_cache()
-
-
-def ledger_dir() -> pathlib.Path:
-    """Where suite ledgers land (``REPRO_LEDGER_DIR`` overrides)."""
-    override = os.environ.get("REPRO_LEDGER_DIR")
-    return pathlib.Path(override) if override else OUTPUT_DIR / "ledger"
-
-
-def suite_name(module_name: str) -> str:
-    """``benchmarks.test_score_perf`` -> ``score_perf``."""
-    stem = module_name.rsplit(".", 1)[-1]
-    return stem[len("test_"):] if stem.startswith("test_") else stem
-
-
-@pytest.fixture(scope="module")
-def ledger(request):
-    """Per-suite performance ledger, saved when the module finishes.
-
-    Benchmarks record through :meth:`Ledger.record_timing` (a
-    :class:`repro.utils.timer.TimingResult`) or :meth:`Ledger.add`; peak
-    RSS is stamped automatically at save time when a record carries none.
-    """
-    suite = suite_name(request.module.__name__)
-    book = Ledger(suite=suite)
-    yield book
-    if not book.benchmarks:
-        return
-    peak = peak_rss_bytes()
-    if peak is not None:
-        from repro.obs.bench import BenchmarkRecord
-
-        for name, record in list(book.benchmarks.items()):
-            if record.peak_rss_bytes is None:
-                book.benchmarks[name] = BenchmarkRecord(
-                    name=record.name, values=record.values,
-                    peak_rss_bytes=peak, meta=record.meta)
-    path = book.save(ledger_dir())
-    print(f"\n[ledger] {suite}: {len(book.benchmarks)} benchmark(s) "
-          f"-> {path}")
 
 
 def save_and_echo(output_dir, name: str, text: str) -> None:

@@ -9,10 +9,8 @@ from repro.experiments import fig2
 from conftest import save_and_echo
 
 
-def test_fig2_ranked_score_curves(benchmark, profile, output_dir):
-    rows = benchmark.pedantic(
-        fig2.run, args=(profile,), kwargs={"datasets": ["retail", "amazon"]},
-        rounds=1, iterations=1)
+def test_fig2_ranked_score_curves(profile, output_dir):
+    rows = fig2.run(profile, datasets=["retail", "amazon"])
     save_and_echo(output_dir, "fig2", fig2.render(rows))
     assert {r["method"] for r in rows} == {
         "UMGAD", "ADA-GAD", "TAM", "GADAM", "AnomMAN"}

@@ -5,12 +5,9 @@ from repro.experiments import fig3
 from conftest import save_and_echo
 
 
-def test_fig3_lambda_mu_theta(benchmark, profile, output_dir):
-    rows = benchmark.pedantic(
-        fig3.run, args=(profile,),
-        kwargs={"datasets": ["retail"], "lambdas": (0.1, 0.3, 0.5),
-                "mus": (0.1, 0.3, 0.5), "thetas": (0.01, 0.1, 1.0)},
-        rounds=1, iterations=1)
+def test_fig3_lambda_mu_theta(profile, output_dir):
+    rows = fig3.run(profile, datasets=["retail"], lambdas=(0.1, 0.3, 0.5),
+                    mus=(0.1, 0.3, 0.5), thetas=(0.01, 0.1, 1.0))
     grid = [r for r in rows if r["sweep"] == "lambda_mu"]
     thetas = [r for r in rows if r["sweep"] == "theta"]
     assert len(grid) == 9 and len(thetas) == 3

@@ -5,12 +5,9 @@ from repro.experiments import fig4
 from conftest import save_and_echo
 
 
-def test_fig4_mask_ratio_and_subgraph_size(benchmark, profile, output_dir):
-    rows = benchmark.pedantic(
-        fig4.run, args=(profile,),
-        kwargs={"datasets": ["retail"], "mask_ratios": (0.2, 0.4, 0.6, 0.8),
-                "subgraph_sizes": (4, 12)},
-        rounds=1, iterations=1)
+def test_fig4_mask_ratio_and_subgraph_size(profile, output_dir):
+    rows = fig4.run(profile, datasets=["retail"],
+                    mask_ratios=(0.2, 0.4, 0.6, 0.8), subgraph_sizes=(4, 12))
     assert len(rows) == 8
     by_ratio = {}
     for r in rows:

@@ -5,11 +5,9 @@ from repro.experiments import fig5
 from conftest import save_and_echo
 
 
-def test_fig5_alpha_beta(benchmark, profile, output_dir):
-    rows = benchmark.pedantic(
-        fig5.run, args=(profile,),
-        kwargs={"datasets": ["retail"], "values": (0.1, 0.3, 0.5, 0.7, 0.9)},
-        rounds=1, iterations=1)
+def test_fig5_alpha_beta(profile, output_dir):
+    rows = fig5.run(profile, datasets=["retail"],
+                    values=(0.1, 0.3, 0.5, 0.7, 0.9))
     assert len(rows) == 10
     for param in ("alpha", "beta"):
         series = [r for r in rows if r["param"] == param]

@@ -5,9 +5,8 @@ from repro.experiments import table1
 from conftest import save_and_echo
 
 
-def test_table1_dataset_statistics(benchmark, profile, output_dir):
-    rows = benchmark.pedantic(table1.run, args=(profile,), rounds=1,
-                              iterations=1)
+def test_table1_dataset_statistics(profile, output_dir):
+    rows = table1.run(profile)
     assert len(rows) == 18
     # every generated dataset preserves which relation dominates
     by_ds = {}

@@ -13,10 +13,8 @@ from conftest import save_and_echo
 DATASETS = ["retail", "amazon"]
 
 
-def test_table2_real_unsupervised(benchmark, profile, output_dir):
-    rows = benchmark.pedantic(
-        table2.run, args=(profile,), kwargs={"datasets": DATASETS},
-        rounds=1, iterations=1)
+def test_table2_real_unsupervised(profile, output_dir):
+    rows = table2.run(profile, datasets=DATASETS)
     save_and_echo(output_dir, "table2", table2.render(rows))
     methods = {r.method for r in rows}
     assert methods == set(available_baselines()) | {"UMGAD"}

@@ -6,12 +6,9 @@ from repro.experiments import table3
 from conftest import save_and_echo
 
 
-def test_table3_large_scale(benchmark, profile, output_dir):
-    rows = benchmark.pedantic(
-        table3.run, args=(profile,),
-        kwargs={"datasets": ["dgfin", "tsocial"],
-                "methods": list(LARGE_SCALE_BASELINES)},
-        rounds=1, iterations=1)
+def test_table3_large_scale(profile, output_dir):
+    rows = table3.run(profile, datasets=["dgfin", "tsocial"],
+                      methods=list(LARGE_SCALE_BASELINES))
     methods = {r.method for r in rows}
     assert methods == set(LARGE_SCALE_BASELINES) | {"UMGAD"}
     umgad_rows = [r for r in rows if r.method == "UMGAD"]

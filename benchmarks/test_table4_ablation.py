@@ -17,10 +17,8 @@ from conftest import save_and_echo
 DATASETS = ["retail", "amazon"]
 
 
-def test_table4_ablations(benchmark, profile, output_dir):
-    rows = benchmark.pedantic(
-        table4.run, args=(profile,), kwargs={"datasets": DATASETS},
-        rounds=1, iterations=1)
+def test_table4_ablations(profile, output_dir):
+    rows = table4.run(profile, datasets=DATASETS)
     for ds in DATASETS:
         sub = {r["variant"]: r["auc"] for r in rows if r["dataset"] == ds}
         assert set(sub) == {"w/o M", "w/o O", "w/o A", "w/o NA", "w/o SA",
@@ -31,20 +29,15 @@ def test_table4_ablations(benchmark, profile, output_dir):
     save_and_echo(output_dir, "table4", table4.render(rows))
 
 
-def test_table4_extra_uniform_fusion(benchmark, profile, output_dir):
+def test_table4_extra_uniform_fusion(profile, output_dir):
     """DESIGN.md §4 ablation: learnable a_r/b_r vs frozen uniform fusion."""
     dataset = get_dataset("retail", profile)
 
-    def run_pair():
-        results = {}
-        for label in ("learned", "uniform"):
-            cfg = umgad_config("retail", profile, seed=0,
-                               relation_fusion=label)
-            model = UMGAD(cfg).fit(dataset.graph)
-            results[label] = roc_auc(dataset.labels, model.decision_scores())
-        return results
-
-    results = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    results = {}
+    for label in ("learned", "uniform"):
+        cfg = umgad_config("retail", profile, seed=0, relation_fusion=label)
+        model = UMGAD(cfg).fit(dataset.graph)
+        results[label] = roc_auc(dataset.labels, model.decision_scores())
     text = "\n".join(f"fusion={k:8s} AUC={v:.3f}" for k, v in results.items())
     save_and_echo(output_dir, "table4_fusion_ablation", text)
     assert results["learned"] > 0.5

@@ -12,11 +12,8 @@ DATASETS = ["retail"]
 METHODS = ["GADAM", "ADA-GAD", "AnomMAN", "DualGAD", "PREM", "TAM"]
 
 
-def test_table5_gt_leakage(benchmark, profile, output_dir):
-    rows = benchmark.pedantic(
-        table5.run, args=(profile,),
-        kwargs={"datasets": DATASETS, "methods": METHODS},
-        rounds=1, iterations=1)
+def test_table5_gt_leakage(profile, output_dir):
+    rows = table5.run(profile, datasets=DATASETS, methods=METHODS)
     assert all(r.protocol == "gt_leakage" for r in rows)
     save_and_echo(output_dir, "table5", table5.render(rows))
 

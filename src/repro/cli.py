@@ -14,9 +14,6 @@ Subcommands::
     python -m repro.cli stream --events events.jsonl --model model.npz --window 500
     python -m repro.cli experiment table2 --profile fast
     python -m repro.cli trace --last 5 --port 8765
-    python -m repro.cli bench run score_perf --ledger-dir /tmp/ledger
-    python -m repro.cli bench report
-    python -m repro.cli bench diff baseline/ current/
     python -m repro.cli datasets
 
 ``detect`` fits UMGAD on a named dataset or a saved ``.npz`` multiplex
@@ -30,12 +27,8 @@ JSON object per line), ``serve`` runs the HTTP serving gateway
 (:mod:`repro.server`: micro-batched ``/v1/score``, ``/v1/events``,
 model hot-swap, Prometheus ``/metrics``), ``trace`` pretty-prints the
 span trees a running server publishes at ``GET /v1/traces``,
-``experiment`` regenerates one paper table/figure, and ``bench``
-drives the performance ledger (:mod:`repro.obs.bench`): ``bench run``
-executes benchmark suites with ledger recording, ``bench report``
-renders saved ledgers, and ``bench diff`` compares two ledger
-directories with noise-aware regression detection — exiting non-zero on
-a regression so CI can gate on it.
+and ``experiment`` regenerates one paper table/figure. The repository's
+benchmark harness is ``perfbench/run.py``, not a subcommand.
 ``detect``/``score``/``serve-bench`` take ``--output json`` for
 machine-readable results.
 
@@ -275,44 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--host", default="127.0.0.1")
     trace.add_argument("--port", type=int, default=8765)
     _add_output_arg(trace)
-
-    benchcmd = sub.add_parser(
-        "bench", help="record, report and diff performance ledgers")
-    bench_sub = benchcmd.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="run benchmark suites with ledger recording")
-    bench_run.add_argument("suites", nargs="*", metavar="SUITE",
-                           help="suite names (score_perf, serve_perf, ...) "
-                                "or test file paths; default: every suite "
-                                "under --benchmarks-dir")
-    bench_run.add_argument("--benchmarks-dir", default="benchmarks",
-                           help="directory holding test_*_perf.py suites")
-    bench_run.add_argument("--ledger-dir", default=None,
-                           help="where suite ledgers are written "
-                                "(default: <benchmarks-dir>/output/ledger)")
-
-    bench_report = bench_sub.add_parser(
-        "report", help="render saved suite ledgers")
-    bench_report.add_argument("suites", nargs="*", metavar="SUITE",
-                              help="restrict to these suites")
-    bench_report.add_argument("--ledger-dir",
-                              default="benchmarks/output/ledger",
-                              help="ledger directory to read")
-
-    bench_diff = bench_sub.add_parser(
-        "diff", help="compare two ledgers with noise-aware regression "
-                     "detection (exit 1 on regression)")
-    bench_diff.add_argument("base", help="baseline ledger .json or directory")
-    bench_diff.add_argument("new", help="candidate ledger .json or directory")
-    bench_diff.add_argument("--threshold", type=float, default=None,
-                            help="relative median shift below which nothing "
-                                 "is flagged (default 0.25)")
-    bench_diff.add_argument("--mad-k", type=float, default=None,
-                            help="MAD multiplier for the noise intervals "
-                                 "(default 3.0)")
-    bench_diff.add_argument("--suite", default=None,
-                            help="restrict to one suite")
 
     sub.add_parser("datasets", help="list built-in datasets")
     return parser
@@ -695,124 +650,6 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _bench_suite_paths(suites, benchmarks_dir: str) -> list:
-    """Resolve suite names/paths into pytest targets."""
-    import pathlib
-
-    base = pathlib.Path(benchmarks_dir)
-    if not suites:
-        if not base.is_dir():
-            raise FileNotFoundError(
-                f"benchmarks directory {benchmarks_dir!r} not found")
-        return [str(base)]
-    paths = []
-    for suite in suites:
-        candidate = pathlib.Path(suite)
-        if candidate.exists():
-            paths.append(str(candidate))
-            continue
-        stem = suite[:-3] if suite.endswith(".py") else suite
-        if not stem.startswith("test_"):
-            stem = f"test_{stem}"
-        resolved = base / f"{stem}.py"
-        if not resolved.exists():
-            raise FileNotFoundError(
-                f"no such suite: {suite!r} (looked for {resolved})")
-        paths.append(str(resolved))
-    return paths
-
-
-def _load_ledger_set(path: str) -> dict:
-    """``{suite: Ledger}`` from a ledger .json file or a directory."""
-    import pathlib
-
-    from .obs.bench import Ledger, load_ledgers
-
-    target = pathlib.Path(path)
-    if target.is_file():
-        ledger = Ledger.load(target)
-        return {ledger.suite: ledger}
-    if target.is_dir():
-        ledgers = load_ledgers(target)
-        if not ledgers:
-            raise FileNotFoundError(
-                f"no ledger .json files in directory {path!r}")
-        return ledgers
-    raise FileNotFoundError(f"no such ledger file or directory: {path!r}")
-
-
-def _run_bench(args) -> int:
-    import pathlib
-    import subprocess
-
-    from .obs.bench import (DEFAULT_MAD_K, DEFAULT_THRESHOLD, diff_ledgers,
-                            load_ledgers, render_diff, render_report)
-
-    if args.bench_command == "run":
-        paths = _bench_suite_paths(args.suites, args.benchmarks_dir)
-        ledger_dir = args.ledger_dir or str(
-            pathlib.Path(args.benchmarks_dir) / "output" / "ledger")
-        env = dict(os.environ)
-        env["REPRO_LEDGER_DIR"] = ledger_dir
-        src = pathlib.Path(__file__).resolve().parent.parent
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                          else []))
-        command = [sys.executable, "-m", "pytest", "-q", *paths]
-        print(f"running: {' '.join(command)}  "
-              f"[REPRO_LEDGER_DIR={ledger_dir}]", flush=True)
-        code = subprocess.call(command, env=env)
-        if code == 0:
-            print(f"ledgers written to {ledger_dir}")
-        return code
-
-    if args.bench_command == "report":
-        ledgers = load_ledgers(args.ledger_dir)
-        if args.suites:
-            missing = [s for s in args.suites if s not in ledgers]
-            if missing:
-                print(f"error: no ledger for suite(s): "
-                      f"{', '.join(missing)} in {args.ledger_dir!r}",
-                      file=sys.stderr)
-                return 1
-            ledgers = {name: ledgers[name] for name in args.suites}
-        if not ledgers:
-            print(f"error: no ledgers found in {args.ledger_dir!r} "
-                  f"(run 'repro bench run' first)", file=sys.stderr)
-            return 1
-        print(render_report(list(ledgers.values())), end="")
-        return 0
-
-    # ---- diff ----
-    base = _load_ledger_set(args.base)
-    new = _load_ledger_set(args.new)
-    if args.suite is not None:
-        base = {k: v for k, v in base.items() if k == args.suite}
-        new = {k: v for k, v in new.items() if k == args.suite}
-        if not base and not new:
-            print(f"error: suite {args.suite!r} in neither ledger set",
-                  file=sys.stderr)
-            return 1
-    threshold = DEFAULT_THRESHOLD if args.threshold is None \
-        else args.threshold
-    mad_k = DEFAULT_MAD_K if args.mad_k is None else args.mad_k
-    regressions = 0
-    for suite in sorted(set(base) & set(new)):
-        diff = diff_ledgers(base[suite], new[suite],
-                            threshold=threshold, mad_k=mad_k)
-        print(render_diff(diff), end="")
-        regressions += len(diff.regressions)
-    for suite in sorted(set(new) - set(base)):
-        print(f"suite {suite}: added (no baseline ledger)")
-    for suite in sorted(set(base) - set(new)):
-        print(f"suite {suite}: removed (present only in baseline)")
-    if regressions:
-        print(f"FAIL: {regressions} regression(s) detected")
-        return 1
-    print("ok: no regressions")
-    return 0
-
-
 def _resolve_dtype(args) -> None:
     """Apply --dtype; serving commands inherit the checkpoint's precision.
 
@@ -870,12 +707,6 @@ def _dispatch_command(args) -> int:
         return _run_experiment(args)
     if args.command == "trace":
         return _run_trace(args)
-    if args.command == "bench":
-        try:
-            return _run_bench(args)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     if args.command == "datasets":
         for name in available_datasets():
             print(name)

@@ -42,7 +42,7 @@ class ExperimentProfile:
         return replace(self, **overrides)
 
 
-#: quick profile used by the pytest-benchmark suite
+#: quick profile for a fast end-to-end reproduction run
 FAST = ExperimentProfile(
     name="fast", dataset_scale=0.25, large_scale=0.2, seeds=(0,),
     umgad_epochs=20, baseline_epochs=15,

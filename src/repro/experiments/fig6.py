@@ -78,12 +78,15 @@ def run(profile: ExperimentProfile,
     return rows
 
 
-def render(rows: List[Dict]) -> str:
+def render(rows: List[Dict], timings: bool = True) -> str:
+    """The Fig. 6 table; ``timings=False`` drops the wall-clock column."""
+    runtime = f" {'runtime(s)':>11s}" if timings else ""
     lines = [f"{'dataset':10s} {'anomalies':11s} {'variant':8s} "
-             f"{'AUC':>7s} {'runtime(s)':>11s}"]
+             f"{'AUC':>7s}{runtime}"]
     for r in rows:
+        runtime = f" {r['runtime_s']:11.2f}" if timings else ""
         lines.append(
             f"{r['dataset']:10s} {r['anomaly_kind']:11s} {r['variant']:8s} "
-            f"{r['auc']:7.3f} {r['runtime_s']:11.2f}"
+            f"{r['auc']:7.3f}{runtime}"
         )
     return "\n".join(lines)

@@ -58,11 +58,15 @@ def run(profile: ExperimentProfile,
     return {"timings": timing_rows, "umgad_loss": loss_curves}
 
 
-def render(result: Dict) -> str:
-    lines = [f"{'dataset':10s} {'method':10s} {'per-epoch(s)':>13s} {'total(s)':>9s}"]
-    for r in result["timings"]:
-        lines.append(f"{r['dataset']:10s} {r['method']:10s} "
-                     f"{r['per_epoch_s']:13.3f} {r['total_s']:9.2f}")
+def render(result: Dict, timings: bool = True) -> str:
+    """Panels (a)-(c); ``timings=False`` keeps only the loss curves."""
+    lines = []
+    if timings:
+        lines.append(f"{'dataset':10s} {'method':10s} "
+                     f"{'per-epoch(s)':>13s} {'total(s)':>9s}")
+        for r in result["timings"]:
+            lines.append(f"{r['dataset']:10s} {r['method']:10s} "
+                         f"{r['per_epoch_s']:13.3f} {r['total_s']:9.2f}")
     for ds, curve in result["umgad_loss"].items():
         if len(curve) >= 2:
             drop = 100.0 * (curve[0] - curve[-1]) / max(abs(curve[0]), 1e-9)

@@ -1,6 +1,6 @@
 """``repro.obs`` — stdlib-only observability for the whole stack.
 
-Four small pieces, threaded through every serving/streaming/scoring
+Small pieces, threaded through every serving/streaming/scoring
 layer:
 
 * :mod:`repro.obs.trace` — context-local request tracing (trace/span
@@ -15,9 +15,6 @@ layer:
   :func:`parse_families` reader;
 * :mod:`repro.obs.profile` — per-stage cost tables (``REPRO_PROFILE=1``)
   and span-tree rendering (``repro trace``);
-* :mod:`repro.obs.bench` — the performance ledger: per-suite benchmark
-  records (median/MAD/peak RSS) with noise-aware regression diffs
-  (``repro bench run/report/diff``);
 * :mod:`repro.obs.runtime` — process telemetry (RSS, GC, threads, FDs)
   and the low-overhead background :class:`RuntimeSampler` feeding
   ``/metrics``.
@@ -27,18 +24,6 @@ Environment switches: ``REPRO_TRACE=0`` disables tracing process-wide,
 ``REPRO_LOG_LEVEL`` steer the structured logger.
 """
 
-from .bench import (
-    BenchmarkRecord,
-    Comparison,
-    Ledger,
-    LedgerDiff,
-    compare_records,
-    diff_ledgers,
-    environment_fingerprint,
-    load_ledgers,
-    render_diff,
-    render_report,
-)
 from .hist import (
     BATCH_SIZE_BOUNDS,
     DURATION_BOUNDS,
@@ -80,12 +65,8 @@ from .trace import (
 __all__ = [
     "BATCH_SIZE_BOUNDS",
     "DURATION_BOUNDS",
-    "BenchmarkRecord",
-    "Comparison",
     "Histogram",
     "HistogramSnapshot",
-    "Ledger",
-    "LedgerDiff",
     "NOOP_SPAN",
     "RuntimeSample",
     "RuntimeSampler",
@@ -97,21 +78,15 @@ __all__ = [
     "annotate",
     "assert_valid_exposition",
     "capture_sample",
-    "compare_records",
     "configure",
     "current_span",
     "current_trace",
-    "diff_ledgers",
-    "environment_fingerprint",
     "get_logger",
-    "load_ledgers",
     "log_spaced_bounds",
     "new_trace_id",
     "parse_families",
     "peak_rss_bytes",
-    "render_diff",
     "render_profile",
-    "render_report",
     "render_trace_tree",
     "rss_bytes",
     "sanitize_trace_id",

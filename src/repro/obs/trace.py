@@ -15,9 +15,8 @@ variable, so instrumentation points never thread a handle around:
 first reads the ambient context, and when no trace is active it returns
 the module-level :data:`NOOP_SPAN` singleton — no object allocation, no
 clock reads, no attribute dict. Instrumented hot paths therefore cost
-one contextvar lookup when nobody is tracing (benchmarked in
-``benchmarks/test_obs_perf.py``; allocation-free by
-``tests/test_obs.py``). Tracing never touches RNG state or numeric
+one contextvar lookup when nobody is tracing, and ``tests/test_obs.py``
+checks that they allocate nothing. Tracing never touches RNG state or numeric
 code, so traced and untraced scores are bitwise identical.
 
 Cross-thread propagation is explicit: a producer captures

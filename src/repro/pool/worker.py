@@ -20,8 +20,8 @@ Errors never kill the loop: scoring failures are serialized back as
 ``("err", req_id, kind, message)`` and re-raised leader-side as the
 matching exception type, so the gateway's 409/500/breaker semantics are
 identical across tiers. The worker exits via ``os._exit`` so a forked
-child can never run the parent's ``atexit`` hooks (pytest ledgers, WAL
-checkpoints) a second time.
+child can never run the parent's ``atexit`` hooks (test-session teardown,
+WAL checkpoints) a second time.
 
 Graphs travel as compact ``(x, {relation: edges})`` payloads, not
 pickled objects — lazily-built propagator caches stay out of the pipe.
@@ -195,7 +195,7 @@ def worker_main(conn, manifest: dict, worker_id: int,
         except OSError:  # pragma: no cover
             pass
         # NEVER run the forked parent's atexit/teardown machinery here
-        # (pytest ledger writers, WAL checkpointers would fire twice).
+        # (test-session teardown, WAL checkpointers would fire twice).
         os._exit(0)
 
 

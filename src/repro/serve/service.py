@@ -149,12 +149,13 @@ class DetectorService:
         # dedup only collapses identical ones). A UMGAD pass no longer
         # needs it to stay deterministic: its generator, precision and
         # eval-mode weights are explicit, its operator-cache fills are
-        # idempotent and grad mode is per thread. What the gate costs is
-        # priced by benchmarks/test_server_perf.py's distinct-fingerprint
-        # herd on a 2-core host: the process tier (repro.pool) answered it
-        # 1.18-1.45x faster than the thread tier over 9 reps (median
-        # 1.26x) with the gate, and 1.05-1.26x over 6 reps (median 1.18x)
-        # without it. Removing it is left to a serve-mix measurement.
+        # idempotent and grad mode is per thread. On a 2-core host, a
+        # distinct-fingerprint herd of 8 HTTP requests (4 workers per
+        # tier) was answered by the process tier (repro.pool) 1.18-1.45x
+        # faster than by the thread tier over 9 reps (median 1.26x) with
+        # the gate, and 1.05-1.26x over 6 reps (median 1.18x) without it.
+        # Re-pricing it, and deleting it, waits for serve-mix to drive the
+        # server from an out-of-process client (ROADMAP item 3).
         self._score_gate = threading.Lock()
         self._inflight: dict = {}
         # Bumped by replace_detector so stale scoring passes never cache.

@@ -24,7 +24,7 @@ Error contract: every failure is an HTTP response with a JSON
 ``{"error": ...}`` body — 400 malformed payloads, 404 unknown resources,
 409 requests the loaded model cannot answer, 429 admission-queue overflow,
 503 shutdown/timeout, 500 bugs. Overload never silently drops a
-connection; the 429 path is exercised by ``benchmarks/test_server_perf.py``.
+connection; the 429 path is exercised by ``tests/test_server.py``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 One :class:`ServerClient` wraps one keep-alive :class:`http.client.HTTPConnection`.
 Connections are **not** thread-safe — a load generator should create one
-client per worker thread (see ``benchmarks/test_server_perf.py``).
+client per worker thread.
 
 Scores come back exactly as the server computed them: JSON floats
 round-trip float64 bit patterns, so ``np.asarray(response["scores"])`` is

@@ -1,7 +1,6 @@
 """Shared utilities: RNG threading and timing."""
 
 from .rng import SeedLike, ensure_rng, spawn
-from .timer import Timer, TimingResult, measure_repeated, median_mad
+from .timer import Timer, median_mad
 
-__all__ = ["SeedLike", "Timer", "TimingResult", "ensure_rng",
-           "measure_repeated", "median_mad", "spawn"]
+__all__ = ["SeedLike", "Timer", "ensure_rng", "median_mad", "spawn"]

@@ -1,15 +1,9 @@
-"""Wall-clock timing helpers shared by the experiments and benchmarks.
+"""Wall-clock timing helpers.
 
-Two layers:
-
-* :class:`Timer` — accumulates named wall-clock spans (used to report
-  per-epoch and total runtimes in the Fig. 7 reproduction);
-* :func:`measure_repeated` / :class:`TimingResult` — the benchmark-suite
-  methodology (optional warmup reps, N timed reps, median/MAD summary).
-  Every ``benchmarks/test_*_perf.py`` timing goes through this so the
-  performance ledger (:mod:`repro.obs.bench`) records one consistent
-  statistic everywhere: the **median** (robust location) with the **MAD**
-  (robust spread) as its noise interval.
+* :class:`Timer` — accumulates named wall-clock spans (per-epoch and
+  scoring time of a fit, reported by the Fig. 7 reproduction);
+* :func:`median_mad` — the robust (median, MAD) summary ``perfbench``
+  reports its samples with.
 """
 
 from __future__ import annotations
@@ -17,14 +11,13 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 def median_mad(values: Sequence[float]) -> Tuple[float, float]:
     """(median, median-absolute-deviation) of ``values``.
 
-    Pure python (no numpy) so the ledger diff tool stays importable in
-    minimal environments. MAD of fewer than two samples is 0.0.
+    Pure python (no numpy). MAD of fewer than two samples is 0.0.
     """
     data = sorted(float(v) for v in values)
     if not data:
@@ -44,101 +37,10 @@ def median_mad(values: Sequence[float]) -> Tuple[float, float]:
     return med, _median(deviations)
 
 
-@dataclass(frozen=True)
-class TimingResult:
-    """Summary of one repeated measurement (the ledger's record unit).
-
-    ``values`` are the timed repetitions in seconds, warmup excluded.
-    ``value`` carries the measured callable's last return so benchmarks
-    can assert on results without re-running the work.
-    """
-
-    name: str
-    values: Tuple[float, ...]
-    warmup: int = 0
-    value: Any = field(default=None, compare=False)
-
-    @property
-    def reps(self) -> int:
-        return len(self.values)
-
-    @property
-    def best(self) -> float:
-        return min(self.values)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values)
-
-    @property
-    def median(self) -> float:
-        return median_mad(self.values)[0]
-
-    @property
-    def mad(self) -> float:
-        return median_mad(self.values)[1]
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.values))
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "values": list(self.values),
-            "warmup": self.warmup,
-            "reps": self.reps,
-            "median": self.median,
-            "mad": self.mad,
-            "best": self.best,
-            "mean": self.mean,
-        }
-
-
-def measure_repeated(fn: Callable[[], Any], *, reps: int = 3,
-                     warmup: int = 0, name: str = "timed",
-                     setup: Optional[Callable[[], Any]] = None
-                     ) -> TimingResult:
-    """Time ``fn()`` ``reps`` times after ``warmup`` untimed calls.
-
-    ``setup`` (when given) runs before *every* call — warmup and timed —
-    outside the clock; its return value is passed to ``fn`` when ``fn``
-    accepts one positional argument, letting benchmarks rebuild cold
-    inputs (e.g. a fresh graph with cold operator caches) per rep without
-    paying for the rebuild inside the measurement.
-    """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-
-    def _call():
-        if setup is not None:
-            prepared = setup()
-            try:
-                return fn(prepared)
-            except TypeError:
-                # fn takes no argument; setup was purely for side effects
-                return fn()
-        return fn()
-
-    for _ in range(warmup):
-        _call()
-    values: List[float] = []
-    result: Any = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        result = _call()
-        values.append(time.perf_counter() - start)
-    return TimingResult(name=name, values=tuple(values), warmup=warmup,
-                        value=result)
-
-
 @dataclass
 class Timer:
     """Accumulates named wall-clock spans; used to report per-epoch and
-    total runtimes in the Fig. 7 reproduction and to collect benchmark
-    repetitions for the performance ledger."""
+    total runtimes in the Fig. 7 reproduction."""
 
     spans: Dict[str, List[float]] = field(default_factory=dict)
 
@@ -160,17 +62,5 @@ class Timer:
     def count(self, name: str) -> int:
         return len(self.spans.get(name, []))
 
-    def best(self, name: str) -> float:
-        """Fastest recorded span (0.0 when nothing was recorded)."""
-        values = self.spans.get(name, [])
-        return float(min(values)) if values else 0.0
 
-    def result(self, name: str) -> TimingResult:
-        """The accumulated spans of ``name`` as a :class:`TimingResult`."""
-        values = self.spans.get(name)
-        if not values:
-            raise KeyError(f"no spans recorded under {name!r}")
-        return TimingResult(name=name, values=tuple(values))
-
-
-__all__ = ["TimingResult", "Timer", "measure_repeated", "median_mad"]
+__all__ = ["Timer", "median_mad"]

@@ -144,6 +144,7 @@ class TestSubgraphBatches:
         m1 = UMGAD(UMGADConfig(**cfg)).fit(parity_dataset.graph)
         m2 = UMGAD(UMGADConfig(**cfg)).fit(parity_dataset.graph)
         assert m1.loss_history == m2.loss_history
+        assert len(m1.loss_history) == 3
         assert m1.train_state.batch_counts == [2, 2, 2]
         # scoring still covers the FULL graph
         assert m1.decision_scores().shape == (parity_dataset.graph.num_nodes,)

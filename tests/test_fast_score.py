@@ -84,6 +84,13 @@ class TestUMGADParity:
         first = model.score_graph(graph)
         second = model.score_graph(graph)
         assert np.array_equal(first, second)
+        # the same content in new objects starts from cold operator
+        # caches: a cold pass is bitwise the warm one
+        cold = MultiplexGraph(x=graph.x.copy(), relations={
+            name: RelationGraph(graph.num_nodes, graph[name].edges.copy(),
+                                name=name)
+            for name in graph.relation_names})
+        assert np.array_equal(model.score_graph(cold), first)
 
     def test_fast_equals_legacy_on_random_multiplex(self, parity):
         rng = np.random.default_rng(9)

@@ -21,6 +21,7 @@ The contracts under test (ISSUE PR 10):
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -447,11 +448,33 @@ class TestGatewayProcessTier:
         rng = np.random.default_rng(11)
         graph = random_multiplex(40, 3, 16, rng, avg_degree=4.0)
         expected = reference.scores(graph, graph_fingerprint(graph))
+        # a concurrent herd of distinct graphs: each request is its own
+        # pass on a worker, and each matches the thread tier bitwise
+        herd = [random_multiplex(30 + i, 3, 16, rng, avg_degree=4.0)
+                for i in range(4)]
+        herd_expected = [reference.scores(g, graph_fingerprint(g))
+                         for g in herd]
+        herd_scores = [None] * len(herd)
         with ServerThread(gateway) as server:
             client = ServerClient(port=server.port)
             response = client.score(graph=graph)
             np.testing.assert_allclose(np.asarray(response["scores"]),
                                        expected, rtol=0, atol=0)
+
+            def hit(index):
+                with ServerClient(port=server.port) as own:
+                    herd_scores[index] = np.asarray(
+                        own.score(graph=herd[index])["scores"])
+
+            threads = [threading.Thread(target=hit, args=(i,))
+                       for i in range(len(herd))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            for got, want in zip(herd_scores, herd_expected):
+                np.testing.assert_array_equal(got, want)
+            assert gateway.pool.stats()["dispatches"] >= 1 + len(herd)
             health = client.healthz(deep=True)
             assert health["exec_tier"] == "process"
             pool_health = health["components"]["pool"]

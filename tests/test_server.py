@@ -506,6 +506,37 @@ class TestHTTPEndpoints:
                 assert "repro_server_uptime_seconds" in client.metrics()
 
 
+class TestHerd:
+    def test_http_herd_is_one_scoring_pass(self, rng):
+        """Concurrent identical requests over HTTP share one scoring pass
+        (batcher coalescing, then the service's dog-pile dedup and cache),
+        and every response carries the same scores bit for bit."""
+        detector = CountingDetector(delay=0.05)
+        gateway = Gateway(DetectorService(detector), workers=2,
+                          linger_ms=20.0)
+        graph = random_multiplex(24, 2, 4, rng)
+        herd = 12
+        barrier = threading.Barrier(herd)
+        responses = []
+        lock = threading.Lock()
+        with ServerThread(gateway) as server:
+            def hit():
+                with ServerClient(port=server.port, timeout=30.0) as client:
+                    barrier.wait(timeout=10.0)
+                    scores = client.score(graph)["scores"]
+                with lock:
+                    responses.append(scores)
+
+            threads = [threading.Thread(target=hit) for _ in range(herd)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        assert len(responses) == herd, "a request hung or died"
+        assert detector.calls == 1
+        assert all(scores == responses[0] for scores in responses)
+
+
 class TestOverloadAndShutdown:
     def test_overload_returns_429_and_recovers(self, rng):
         service = DetectorService(CountingDetector(delay=0.15))
@@ -536,10 +567,13 @@ class TestOverloadAndShutdown:
             assert set(statuses) <= {200, 429}
             # the server recovers: a fresh request succeeds afterwards
             with ServerClient(port=server.port) as client:
-                assert client.health()["queue_depth"] == 0
+                health = client.health()
+                assert health["status"] == "ok"
+                assert health["queue_depth"] == 0
                 assert client.score(graphs[0])["num_nodes"] == 10
                 metrics = client.metrics()
         assert "repro_batcher_rejected_total" in metrics
+        assert gateway.batcher.stats.rejected == statuses.count(429)
 
     def test_draining_gateway_returns_503(self, counting_service, rng):
         gateway = Gateway(counting_service, linger_ms=0.0)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils import Timer, ensure_rng, spawn
+from repro.utils import Timer, ensure_rng, median_mad, spawn
 
 
 class TestRng:
@@ -49,6 +49,13 @@ class TestTimer:
             with timer.measure("op"):
                 raise RuntimeError("boom")
         assert timer.count("op") == 1
+
+
+def test_median_mad():
+    assert median_mad([3.0, 1.0, 2.0]) == (2.0, 1.0)
+    assert median_mad([5.0]) == (5.0, 0.0)
+    with pytest.raises(ValueError):
+        median_mad([])
 
 
 def _blas_threads():

@@ -434,6 +434,8 @@ class TestRecovery:
         resumed = StreamMonitor.recover(service, wal2, window=20,
                                         top_k=5, snapshot_every=3)
         assert resumed.recovered
+        # recovery replays events without scoring them
+        assert service.stats.requests == 0
         skip = resumed.events_consumed + resumed.buffered
         assert skip == 90
         resumed.process(events[skip:])
@@ -442,6 +444,24 @@ class TestRecovery:
         assert resumed.windows_scored == reference.windows_scored
         assert resumed.events_consumed == reference.events_consumed
         wal2.close()
+
+    def test_logging_leaves_ingest_unchanged(self, tmp_path, rng):
+        """The WAL only writes: a logged run reports the same windows and
+        runs exactly the scoring passes of an unlogged one."""
+        graph = random_multiplex(40, 2, 4, rng, avg_degree=3.0)
+        events, _ = synthesize_stream(graph, 110, rng)
+        plain = _monitor(graph)
+        plain_reports = plain.process(events)
+        wal = WriteAheadLog(tmp_path, fsync=False)
+        logged = _monitor(graph, wal=wal, snapshot_every=2)
+        logged_reports = logged.process(events)
+        wal.close()
+        assert wal.stats.appends > 0
+        assert logged.builder.fingerprint() == plain.builder.fingerprint()
+        assert [r.fingerprint for r in logged_reports] == \
+            [r.fingerprint for r in plain_reports]
+        assert logged.service.stats.to_dict() == \
+            plain.service.stats.to_dict()
 
     def test_clean_checkpoint_replays_nothing(self, tmp_path, rng):
         graph = random_multiplex(30, 2, 4, rng, avg_degree=3.0)
