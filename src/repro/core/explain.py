@@ -23,6 +23,7 @@ import numpy as np
 
 from ..autograd import no_grad
 from ..graphs.multiplex import MultiplexGraph
+from ..utils.rng import ensure_rng
 from .model import UMGAD
 from .scoring import attribute_errors, structure_errors
 
@@ -81,14 +82,18 @@ class AnomalyExplainer:
     def _prepare(self) -> None:
         model, graph = self.model, self.graph
         cfg = model.config
-        # no_grad: evidence gathering is pure inference — tape-free
-        # forwards through the same grad-free engine scoring uses.
-        nets = model.networks
-        weights = model._eval_fusion_weights()
+        # Like score_graph, a pure function of (weights, graph, seed): the
+        # eval-mode inference copy at the weights' own dtype and a fresh
+        # generator, so explaining one graph never shifts the evidence
+        # reported for another. no_grad: tape-free forwards through the
+        # same grad-free engine scoring uses.
+        nets = model._inference_networks(model.networks.a_raw.data.dtype)
+        weights = model._eval_fusion_weights(nets)
+        rng = ensure_rng(cfg.seed)
         with no_grad():
             fused = model._masked_eval_recon(
                 nets.attr, graph, graph.x, weights,
-                model._mask_groups(graph.num_nodes, model._rng))
+                model._mask_groups(graph.num_nodes, rng))
             _, per_rel = model._fused_eval_recon(nets.struct, graph, graph.x,
                                                  weights)
         self._fused = fused
@@ -97,7 +102,7 @@ class AnomalyExplainer:
         self._struct_err = {}
         for name, decoded in zip(graph.relation_names, per_rel):
             self._struct_err[name] = structure_errors(
-                decoded, graph[name], cfg.structure_score_mode, model._rng,
+                decoded, graph[name], cfg.structure_score_mode, rng,
                 negatives_per_node=cfg.structure_score_negatives,
                 exact_max_nodes=cfg.exact_score_max_nodes)
         self._scores = (self._scores_override if self._scores_override

@@ -13,14 +13,19 @@ weights.
   zero-copy array views), :class:`SharedModelStore` (refcounted
   hot-swappable generations), stale-segment reclamation.
 * :mod:`repro.pool.worker` — the worker-process loop: attach, rebuild
-  the detector through the standard checkpoint path, serve batches over
-  a pipe.
+  the detector through the standard checkpoint path, run ``score_graph``
+  for batches sent over a pipe. Workers keep no result cache.
 * :mod:`repro.pool.executor` — :class:`ProcessPool`, the leader: sticky
   dispatch, crash rescue + watchdog respawn, generation-pinned hot
   swaps, chaos fail points, shutdown leak report.
 
-Select it with ``repro serve --exec-tier process``; the gateway falls
-back to threads automatically when :func:`shm_available` says no.
+The pool is the ``executor`` of the leader's
+:class:`~repro.serve.service.DetectorService`: the service keeps the one
+result cache, dedups same-fingerprint passes, guards hot swaps and
+answers the trained graph from stored scores on both tiers, and hands
+the pool only the passes it cannot answer. Select it with
+``repro serve --exec-tier process``; the gateway falls back to threads
+automatically when :func:`shm_available` says no.
 """
 
 from .executor import PoolUnavailable, ProcessPool

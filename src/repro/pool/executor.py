@@ -7,10 +7,11 @@ scoring processes that attach it zero-copy, and dispatches scoring work
 over per-worker pipes:
 
 * **Sticky routing** — a fingerprint always lands on the same worker
-  (crc32 modulo pool size), so each worker's private LRU cache stays hot
-  for its slice of the fingerprint space while *distinct* fingerprints
-  fan out across processes (the herd case the thread tier serializes on
-  the GIL).
+  (crc32 modulo pool size), so *distinct* fingerprints fan out across
+  processes (the herd case the thread tier serializes on the GIL).
+  Workers cache no results: the leader's
+  :class:`~repro.serve.service.DetectorService` caches and dedups, and
+  dispatches here only the passes it cannot answer.
 * **Generation pinning** — every dispatch holds a reference on the
   checkpoint generation it was routed against; ``publish_detector()``
   hot-swaps all workers to a new generation and the old segments are
@@ -162,10 +163,7 @@ class ProcessPool:
         Number of scoring processes.
     graph:
         Optional training graph, forwarded to ``checkpoint_payload`` so
-        the published header carries the trained-graph fingerprint
-        (enables workers' stored-scores fast path).
-    cache_size:
-        Per-worker :class:`~repro.serve.service.DetectorService` LRU size.
+        the published header carries the trained-graph fingerprint.
     score_timeout:
         Seconds one dispatched batch may take before its worker is
         declared wedged and respawned.
@@ -178,7 +176,6 @@ class ProcessPool:
 
     def __init__(self, detector, workers: int = 2,
                  graph: Optional[MultiplexGraph] = None,
-                 cache_size: int = 8,
                  score_timeout: float = _DEFAULT_SCORE_TIMEOUT,
                  start_method: Optional[str] = None):
         if workers < 1:
@@ -188,7 +185,6 @@ class ProcessPool:
                 "POSIX shared memory is unavailable; process tier cannot "
                 "run here (falling back to threads is the caller's job)")
         self.reclaimed_segments = reclaim_stale_segments()
-        self.cache_size = int(cache_size)
         self.score_timeout = float(score_timeout)
         self._lock = threading.Lock()
         self._closed = False
@@ -245,7 +241,7 @@ class ProcessPool:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, manifest, worker.worker_id, self.cache_size),
+            args=(child_conn, manifest, worker.worker_id),
             name=f"repro-pool-worker-{worker.worker_id}",
             daemon=True,
         )
@@ -305,17 +301,18 @@ class ProcessPool:
     # Dispatch
     # ------------------------------------------------------------------
     def _pick(self, fingerprint: str) -> _Worker:
-        """Sticky fingerprint → worker routing (cache affinity)."""
+        """Sticky fingerprint → worker routing."""
         index = zlib.crc32(fingerprint.encode()) % len(self._workers)
         return self._workers[index]
 
     def score(self, graph: MultiplexGraph, fingerprint: str) -> np.ndarray:
         """Score one (graph, fingerprint) batch on a worker process.
 
-        Bitwise-identical to the thread tier's
-        ``DetectorService.scores`` — the worker runs the same kernels on
-        the same weights. Worker-side exceptions are re-raised here with
-        their original type, crashes are retried on a respawned worker.
+        Bitwise-identical to ``detector.score_graph(graph)`` in this
+        process, for every graph — the trained one too: answering it from
+        stored scores is the service's job. Worker-side exceptions are
+        re-raised here with their original type, crashes are retried on a
+        respawned worker.
         """
         if self._closed:
             raise PoolUnavailable("process pool is closed")

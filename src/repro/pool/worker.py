@@ -4,16 +4,18 @@ One worker = one OS process owning a private GIL. It attaches the
 leader's shared-memory checkpoint (:class:`~repro.pool.shm.SharedCheckpoint`),
 reconstructs the detector **zero-copy** through the exact
 :func:`~repro.serve.checkpoint.detector_from_payload` path a file load
-takes, wraps it in its own :class:`~repro.serve.service.DetectorService`
-(per-worker LRU over distinct graphs), and then loops on its pipe:
+takes, and then loops on its pipe. It keeps no result cache: the
+leader's :class:`~repro.serve.service.DetectorService` caches, dedups and
+answers the trained graph from stored scores, and dispatches only the
+passes it cannot answer.
 
-* ``("score", req_id, graph_payload, fingerprint)`` → scores the graph
-  through the same grad-free kernels as the thread tier (bitwise parity)
-  and replies ``("ok", req_id, scores, telemetry)``.
+* ``("score", req_id, graph_payload, fingerprint)`` → runs the
+  detector's ``score_graph`` on the graph, the same pass the thread tier
+  runs (bitwise parity), and replies ``("ok", req_id, scores, telemetry)``.
 * ``("reload", manifest)`` → atomically retargets to a new checkpoint
   generation (hot-swap); the previous generation's mappings are closed
   only after the new detector is live.
-* ``("ping", req_id)`` → liveness + cache telemetry.
+* ``("ping", req_id)`` → liveness telemetry.
 * ``("stop",)`` → clean exit.
 
 Errors never kill the loop: scoring failures are serialized back as
@@ -34,13 +36,11 @@ import signal
 import time
 from typing import Optional
 
-import numpy as np
-
 from .. import chaos
 from ..graphs.graph import RelationGraph
 from ..graphs.multiplex import MultiplexGraph
 from ..serve.checkpoint import CheckpointError, detector_from_payload
-from ..serve.service import DetectorService, ServiceError
+from ..serve.service import ServiceError
 from .shm import SharedCheckpoint, SharedMemoryError
 
 #: exception kinds a worker reports that the leader re-raises typed;
@@ -86,35 +86,23 @@ def rebuild_error(kind: str, message: str) -> BaseException:
 
 
 class _WorkerState:
-    """The attached checkpoint + service for the current generation."""
+    """The attached checkpoint + detector for the current generation."""
 
-    def __init__(self, manifest: dict, cache_size: int):
+    def __init__(self, manifest: dict):
         self.shared = SharedCheckpoint.attach(manifest)
-        header = self.shared.header
-        dtype = header.get("dtype")
-        if dtype:
-            # Same contract as DetectorService(match_dtype=True): graphs
-            # decoded in this process must fingerprint-match what the
-            # leader hashed, so adopt the checkpoint's precision.
-            from ..autograd import get_default_dtype, set_default_dtype
-
-            if str(np.dtype(get_default_dtype())) != dtype:
-                set_default_dtype(dtype)
-        detector = detector_from_payload(
-            header, self.shared.arrays(),
+        self.detector = detector_from_payload(
+            self.shared.header, self.shared.arrays(),
             source=f"shm:gen{self.shared.generation}", copy=False)
-        self.service = DetectorService(detector, cache_size=cache_size)
         self.generation = self.shared.generation
 
     def close(self) -> None:
-        # Drop the service (and its cached graphs) before unmapping the
-        # segments its detector's parameters alias.
-        self.service = None
+        # Drop the detector before unmapping the segments its parameters
+        # alias.
+        self.detector = None
         self.shared.close()
 
 
-def worker_main(conn, manifest: dict, worker_id: int,
-                cache_size: int = 8) -> None:
+def worker_main(conn, manifest: dict, worker_id: int) -> None:
     """Entry point of one scoring worker process (runs until ``stop``)."""
     # The leader owns lifecycle; a Ctrl-C on the foreground process group
     # must not take workers down mid-batch (close() will).
@@ -125,7 +113,7 @@ def worker_main(conn, manifest: dict, worker_id: int,
     state: Optional[_WorkerState] = None
     requests = 0
     try:
-        state = _WorkerState(manifest, cache_size)
+        state = _WorkerState(manifest)
         conn.send(("ready", worker_id, state.generation))
         while True:
             try:
@@ -143,23 +131,20 @@ def worker_main(conn, manifest: dict, worker_id: int,
                 try:
                     chaos.fail_point("pool.worker", key=fingerprint)
                     graph = decode_graph(graph_payload)
-                    scores = state.service.scores(graph, fingerprint)
+                    scores = state.detector.score_graph(graph)
                 except BaseException as exc:  # noqa: BLE001 - serialized
                     conn.send(("err", req_id, type(exc).__name__, str(exc)))
                 else:
                     requests += 1
-                    stats = state.service.stats
                     conn.send(("ok", req_id, scores, {
                         "worker": worker_id,
                         "generation": state.generation,
                         "wall_ms": (time.perf_counter() - started) * 1e3,
-                        "cache_hits": stats.hits,
-                        "cache_misses": stats.misses,
                     }))
             elif op == "reload":
                 _req, new_manifest = message
                 try:
-                    fresh = _WorkerState(new_manifest, cache_size)
+                    fresh = _WorkerState(new_manifest)
                 except BaseException as exc:  # noqa: BLE001 - serialized
                     # Keep serving the old generation — a failed hot-swap
                     # must leave the worker usable, mirroring the
@@ -173,14 +158,11 @@ def worker_main(conn, manifest: dict, worker_id: int,
                     conn.send(("reloaded", worker_id, state.generation))
             elif op == "ping":
                 _req, req_id = message
-                stats = state.service.stats if state is not None else None
                 conn.send(("pong", req_id, {
                     "worker": worker_id,
                     "pid": os.getpid(),
                     "generation": state.generation if state else None,
                     "requests": requests,
-                    "cache_hits": stats.hits if stats else 0,
-                    "cache_misses": stats.misses if stats else 0,
                 }))
             else:
                 conn.send(("err", None, "ProtocolError",

@@ -16,6 +16,11 @@ launching redundant scoring passes. A :meth:`DetectorService.replace_detector`
 hot-swap bumps an internal generation counter so scoring passes that were
 already running against the old detector cannot poison the new detector's
 cache.
+
+The service is also the one place that decides *where* a pass runs: in
+this process (the thread tier), or on an ``executor`` such as
+:class:`repro.pool.ProcessPool` (the process tier). Both tiers share the
+dedup, the generation guard, the LRU and the miss count above.
 """
 
 from __future__ import annotations
@@ -126,9 +131,17 @@ class DetectorService:
         serving mixed-precision checkpoints in one process; call
         :func:`repro.autograd.set_default_dtype` to restore a previous
         precision.
+    executor:
+        Where cold scoring passes run. ``None`` (the thread tier) runs
+        ``score_graph`` in this process; anything with a
+        ``score(graph, fingerprint)`` method, such as
+        :class:`repro.pool.ProcessPool`, runs them there instead, so
+        distinct fingerprints score in parallel across processes. The
+        trained graph is always answered here from its stored scores.
     """
 
-    def __init__(self, model, cache_size: int = 8, match_dtype: bool = True):
+    def __init__(self, model, cache_size: int = 8, match_dtype: bool = True,
+                 executor=None):
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         if isinstance(model, BaseDetector):
@@ -141,21 +154,23 @@ class DetectorService:
         self.trained_fingerprint: Optional[str] = \
             self._infer_trained_fingerprint(self.detector)
         self.cache_size = cache_size
+        self.executor = executor
         self.stats = ServiceStats()
         self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
         # Reentrant: threshold/explain helpers take it while _entry holds it.
         self._lock = threading.RLock()
-        # Serialises fresh scoring passes (distinct fingerprints — dog-pile
-        # dedup only collapses identical ones). A UMGAD pass no longer
-        # needs it to stay deterministic: its generator, precision and
-        # eval-mode weights are explicit, its operator-cache fills are
+        # Serialises in-process scoring passes (distinct fingerprints —
+        # dog-pile dedup only collapses identical ones); executor passes run
+        # outside it, so they stay parallel across processes. A UMGAD pass
+        # no longer needs it to stay deterministic: its generator, precision
+        # and eval-mode weights are explicit, its operator-cache fills are
         # idempotent and grad mode is per thread. On a 2-core host, a
-        # distinct-fingerprint herd of 8 HTTP requests (4 workers per
-        # tier) was answered by the process tier (repro.pool) 1.18-1.45x
-        # faster than by the thread tier over 9 reps (median 1.26x) with
-        # the gate, and 1.05-1.26x over 6 reps (median 1.18x) without it.
-        # Re-pricing it, and deleting it, waits for serve-mix to drive the
-        # server from an out-of-process client (ROADMAP item 3).
+        # distinct-fingerprint herd of 8 HTTP requests (4 workers per tier)
+        # was answered by the process tier (repro.pool) 1.18-1.45x faster
+        # than by the thread tier over 9 reps (median 1.26x) with the gate,
+        # and 1.05-1.26x over 6 reps (median 1.18x) without it. Re-pricing
+        # it, and deleting it, waits for serve-mix to drive the server from
+        # an out-of-process client (ROADMAP item 3).
         self._score_gate = threading.Lock()
         self._inflight: dict = {}
         # Bumped by replace_detector so stale scoring passes never cache.
@@ -238,6 +253,10 @@ class DetectorService:
                 f"{type(detector).__name__} keeps no reusable networks, so "
                 "it can only serve the graph it was fitted on (fingerprint "
                 "mismatch); refit or serve a UMGAD checkpoint instead")
+        executor = self.executor
+        if executor is not None:
+            with span("service.score_pass"):
+                return executor.score(graph, fingerprint)
         with self._score_gate, span("service.score_pass"):
             return score_graph(graph)
 
@@ -304,24 +323,6 @@ class DetectorService:
     def clear_cache(self) -> None:
         with self._lock:
             self._cache.clear()
-
-    def seed_cache(self, fingerprint: str, scores: np.ndarray) -> None:
-        """Insert an externally computed result without a scoring pass.
-
-        The process tier uses this: a worker process scored the batch,
-        and the leader seeds its own cache with the result so follow-up
-        fingerprint-only requests, warm-status probes and threshold /
-        explain queries behave exactly as if the thread tier had scored
-        it here. Does not count as a hit or a miss — the pool records
-        its own dispatch telemetry.
-        """
-        entry = _CacheEntry(fingerprint=fingerprint, scores=scores)
-        with self._lock:
-            self._cache[fingerprint] = entry
-            self._cache.move_to_end(fingerprint)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-                self.stats.evictions += 1
 
     def __len__(self) -> int:
         with self._lock:

@@ -27,9 +27,9 @@ Two protections keep the pool healthy under load:
   latency bounded: a request that cannot be served soon is refused
   immediately rather than parked on an unbounded queue.
 * **dog-pile dedup below** — :class:`~repro.serve.service.DetectorService`
-  additionally deduplicates in-flight passes per fingerprint, so even
-  groups that split across workers (e.g. a burst longer than one linger
-  window) collapse to a single computation.
+  additionally deduplicates in-flight passes per fingerprint on either
+  execution tier, so even groups that split across workers (e.g. a burst
+  longer than one linger window) collapse to a single computation.
 
 Everything is stdlib: ``threading`` + ``queue`` + ``concurrent.futures.Future``.
 """
@@ -165,21 +165,11 @@ class MicroBatcher:
     max_batch:
         Maximum requests per group; the next request for the same
         fingerprint opens a fresh group.
-    executor:
-        Optional process-tier executor (:class:`repro.pool.ProcessPool`
-        or anything with a ``score(graph, fingerprint)`` method). When
-        set, *cold* batch groups are dispatched to it — distinct
-        fingerprints then score in parallel across worker processes
-        instead of serializing on this process's GIL — and the result is
-        seeded back into ``service``'s cache so warm probes, threshold
-        and explain queries behave identically to the thread tier. Warm
-        groups (cached / stored-scores / in-flight) stay in-process:
-        there is no pass to parallelize.
     """
 
     def __init__(self, service: DetectorService, *, workers: int = 2,
                  max_queue: int = 64, linger_ms: float = 2.0,
-                 max_batch: int = 64, executor=None):
+                 max_batch: int = 64):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_queue < 1:
@@ -189,7 +179,6 @@ class MicroBatcher:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.service = service
-        self.executor = executor
         self.workers = int(workers)
         self.max_queue = int(max_queue)
         self.max_batch = int(max_batch)
@@ -464,17 +453,7 @@ class MicroBatcher:
             sp.set("coalesced", len(futures) - 1)
             try:
                 chaos.fail_point("batcher.batch", key=group.fingerprint)
-                if self.executor is not None and \
-                        not self.service.is_warm(group.fingerprint):
-                    sp.set("exec_tier", "process")
-                    scores = self.executor.score(group.graph,
-                                                 group.fingerprint)
-                    self.service.seed_cache(group.fingerprint, scores)
-                else:
-                    if self.executor is not None:
-                        sp.set("exec_tier", "thread")
-                    scores = self.service.scores(group.graph,
-                                                 group.fingerprint)
+                scores = self.service.scores(group.graph, group.fingerprint)
             except BaseException as exc:
                 sp.set("error", type(exc).__name__)
                 error = exc

@@ -53,6 +53,9 @@ SLO_ENDPOINTS = frozenset({"score", "events", "models", "activate",
 SERVER_NAME = "repro-server"
 API_VERSION = "v1"
 
+#: fingerprints whose last known-good scores back degraded answers
+_STALE_CACHE_SIZE = 64
+
 
 class GatewayError(RuntimeError):
     """A request the gateway refuses, with the HTTP status to send."""
@@ -84,11 +87,11 @@ class Gateway:
     exec_tier:
         ``"thread"`` (default) scores in-process; ``"process"`` forks a
         :class:`repro.pool.ProcessPool` of ``worker_procs`` scoring
-        processes over a shared-memory copy of the active checkpoint —
-        distinct-fingerprint batches then run in true parallel. Falls
-        back to the thread tier (recorded in ``pool_fallback_reason``
-        and the startup log) when shared memory is unavailable or the
-        pool cannot start.
+        processes over a shared-memory copy of the active checkpoint and
+        makes it ``service``'s executor — distinct-fingerprint passes
+        then run in true parallel. Falls back to the thread tier
+        (recorded in ``pool_fallback_reason`` and the startup log) when
+        shared memory is unavailable or the pool cannot start.
     worker_procs:
         Scoring processes for the process tier (ignored for threads).
     request_timeout:
@@ -96,12 +99,10 @@ class Gateway:
         gives up with a 503.
     window / stride / top_k / psi_threshold / jump_sigma:
         Forwarded to the :class:`StreamMonitor` (first events request).
-    slo_window / slo_p99_seconds / slo_error_ratio / slo_sustain /
-    slo_min_samples:
+    slo_window / slo_p99_seconds / slo_error_ratio / slo_sustain:
         The per-endpoint SLO: tumbling windows of ``slo_window`` requests
         are judged against the p99/error objectives; ``slo_sustain``
-        consecutive violating windows flip ``/healthz`` to 503
-        (``slo_min_samples`` gates the live compliance judgement).
+        consecutive violating windows flip ``/healthz`` to 503.
     sample_interval:
         Seconds between background process-telemetry samples (RSS, GC,
         FDs) feeding ``/metrics`` and ``/healthz?deep=1``.
@@ -119,13 +120,11 @@ class Gateway:
                  jump_sigma: float = 6.0, trace_capacity: int = 128,
                  slo_window: int = 100, slo_p99_seconds: float = 2.5,
                  slo_error_ratio: float = 0.02, slo_sustain: int = 2,
-                 slo_min_samples: Optional[int] = None,
                  sample_interval: float = 5.0,
                  wal_dir=None, snapshot_every: int = 10,
                  wal_fsync: bool = True,
                  breaker_failures: int = 3,
                  breaker_reset_seconds: float = 30.0,
-                 stale_cache_size: int = 64,
                  exec_tier: str = "thread",
                  worker_procs: int = 2):
         self.service = service
@@ -146,14 +145,14 @@ class Gateway:
             from ..pool import PoolUnavailable, ProcessPool
             try:
                 self.pool = ProcessPool(service.detector,
-                                        workers=worker_procs,
-                                        cache_size=service.cache_size)
+                                        workers=worker_procs)
                 self.exec_tier = "process"
+                service.executor = self.pool
             except PoolUnavailable as exc:
                 self.pool_fallback_reason = str(exc)
         self.batcher = MicroBatcher(service, workers=workers,
                                     max_queue=max_queue, linger_ms=linger_ms,
-                                    max_batch=max_batch, executor=self.pool)
+                                    max_batch=max_batch)
         self.request_timeout = float(request_timeout)
         self._monitor_kwargs = dict(window=window, stride=stride, top_k=top_k,
                                     psi_threshold=psi_threshold,
@@ -176,7 +175,7 @@ class Gateway:
             window=slo_window,
             objective=SLOObjective(p99_seconds=slo_p99_seconds,
                                    error_ratio=slo_error_ratio),
-            sustain=slo_sustain, min_samples=slo_min_samples)
+            sustain=slo_sustain)
         #: per-fingerprint circuit breaker: repeated scoring failures for
         #: one graph trip it open, after which requests for that graph are
         #: answered from the stale-score cache (degraded) or refused (503)
@@ -187,7 +186,6 @@ class Gateway:
         #: last known-good scores per fingerprint (LRU-bounded): the
         #: degraded-mode answer while a breaker is open
         self._stale_scores: "OrderedDict[str, object]" = OrderedDict()
-        self._stale_capacity = int(stale_cache_size)
         self._degraded_served = 0
         #: background process-telemetry sampler (RSS/GC/threads/FDs, plus
         #: per-worker pool probes when the process tier is active)
@@ -368,7 +366,7 @@ class Gateway:
         with self._stale_lock:
             self._stale_scores[fingerprint] = scores
             self._stale_scores.move_to_end(fingerprint)
-            while len(self._stale_scores) > self._stale_capacity:
+            while len(self._stale_scores) > _STALE_CACHE_SIZE:
                 self._stale_scores.popitem(last=False)
 
     def _stale_lookup(self, fingerprint: str):
@@ -424,7 +422,7 @@ class Gateway:
         with self._monitor_lock:
             monitor = self._ensure_monitor()
             try:
-                reports = monitor.process(events)
+                reports = monitor.ingest(events)
                 if payload.get("flush"):
                     tail = monitor.flush()
                     if tail is not None:
@@ -511,28 +509,30 @@ class Gateway:
             detector = registry.load(name, match_dtype=False)
         except KeyError as exc:
             raise GatewayError(str(exc.args[0]), 404) from None
+        pool_reply = {}
+        if self.pool is not None:
+            # Retarget the scoring processes *before* the service swaps:
+            # a pass dispatched after the service's generation bump then
+            # cannot run on the old weights and be cached as the new
+            # model's. Old segments stay readable until the last in-flight
+            # batch drains (generation refcounting).
+            try:
+                pool_reply["pool_generation"] = \
+                    self.pool.publish_detector(detector)
+            except Exception as exc:  # noqa: BLE001 - degraded, not fatal
+                # A worker that missed the reload is respawned against the
+                # new manifest by the pool itself. Surface the partial swap
+                # instead of failing the activation.
+                pool_reply["pool_error"] = str(exc)
         epochs, seconds = self.service.replace_detector(detector)
         self.active_model = name
-        response = {
+        return {
             "activated": name,
             "detector": type(detector).__name__,
             "refit_epochs": epochs,
             "refit_seconds": seconds,
+            **pool_reply,
         }
-        if self.pool is not None:
-            # Retarget the scoring processes: publish a new shm generation
-            # and hot-swap every worker. Old segments stay readable until
-            # the last in-flight batch drains (generation refcounting).
-            try:
-                response["pool_generation"] = \
-                    self.pool.publish_detector(detector)
-            except Exception as exc:  # noqa: BLE001 - degraded, not fatal
-                # The in-process service already swapped; a worker that
-                # missed the reload is respawned against the new manifest
-                # by the pool itself. Surface the partial swap instead of
-                # failing an activation the thread tier already served.
-                response["pool_error"] = str(exc)
-        return response
 
     # ------------------------------------------------------------------
     # GET /healthz + GET /metrics
@@ -640,6 +640,7 @@ class Gateway:
         """
         report: Dict[str, dict] = {"batcher": self.batcher.close()}
         if self.pool is not None:
+            self.service.executor = None
             report["pool"] = self.pool.close()
         self.sampler.close()
         monitor = self.monitor

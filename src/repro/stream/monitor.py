@@ -314,7 +314,7 @@ class StreamMonitor:
         self.alerts_raised = 0
         #: recent reports only (bounded like score history) — long-running
         #: monitors must not grow linearly in windows scored; callers that
-        #: need every report keep the ones run()/process() hand them
+        #: need every report keep the ones run()/ingest() hand them
         self.reports: Deque[WindowReport] = deque(maxlen=history)
         self._buffer: List[Event] = []
         self._history: Deque[Tuple[int, np.ndarray]] = deque(maxlen=history)
@@ -400,11 +400,6 @@ class StreamMonitor:
         if batch:
             for report in self.ingest(batch):
                 yield report
-
-    def process(self, events: Iterable[Event]) -> List[WindowReport]:
-        """Eager version of :meth:`run` (no tail flush); logs ``events``
-        as a single WAL record."""
-        return self.ingest(events)
 
     def flush(self) -> Optional[WindowReport]:
         """Score whatever partial window is buffered, if anything."""

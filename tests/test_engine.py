@@ -336,7 +336,7 @@ class TestServingRefitTelemetry:
                                 refit_cooldown=1)
         quiet = [UpdateAttr(i, graph.x[i]) for i in range(50)]
         shift = [UpdateAttr(i, graph.x[i] + 10.0) for i in range(50)]
-        reports = monitor.process(quiet + shift)
+        reports = monitor.ingest(quiet + shift)
         refit_alerts = [a for r in reports for a in r.alerts
                         if isinstance(a, RefitAlert)]
         assert refit_alerts

@@ -10,6 +10,7 @@ from repro.graphs import (
     RelationGraph,
     from_edge_dict,
     load_multiplex,
+    random_multiplex,
     read_edge_list,
     save_multiplex,
     write_edge_list,
@@ -145,6 +146,19 @@ class TestExplainer:
         assert len(top) == 5
         scores = [e.score for e in top]
         assert scores == sorted(scores, reverse=True)
+
+    def test_explanations_are_pure(self, fitted_umgad, tiny_dataset):
+        # Explaining one graph must not shift the evidence reported for
+        # another, and must leave the model's training generator alone.
+        state = fitted_umgad._rng.bit_generator.state
+        first = AnomalyExplainer(fitted_umgad, tiny_dataset.graph).explain(3)
+        other = random_multiplex(30, tiny_dataset.graph.num_relations,
+                                 tiny_dataset.graph.num_features,
+                                 np.random.default_rng(1))
+        AnomalyExplainer(fitted_umgad, other).explain(0)
+        again = AnomalyExplainer(fitted_umgad, tiny_dataset.graph).explain(3)
+        assert again == first
+        assert fitted_umgad._rng.bit_generator.state == state
 
     def test_summary_is_text(self, fitted_umgad, tiny_dataset):
         explainer = AnomalyExplainer(fitted_umgad, tiny_dataset.graph)

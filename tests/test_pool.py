@@ -286,12 +286,13 @@ def pool(pool_model):
 class TestProcessPool:
     def test_bitwise_parity_with_thread_tier(self, pool, pool_model,
                                              tiny_dataset):
-        service = DetectorService(pool_model, cache_size=8)
+        # A worker runs score_graph for every graph it is sent, the
+        # trained one too; stored scores are the leader service's answer.
         rng = np.random.default_rng(3)
         fresh = random_multiplex(40, 3, 16, rng, avg_degree=4.0)
         for graph in (tiny_dataset.graph, fresh):
             fingerprint = graph_fingerprint(graph)
-            expected = service.scores(graph, fingerprint)
+            expected = pool_model.score_graph(graph)
             got = pool.score(graph, fingerprint)
             assert got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)  # bitwise
@@ -342,9 +343,7 @@ class TestProcessPool:
         assert all(info["generation"] == 2
                    for info in pool.worker_infos())
         swapped = pool.score(graph, fingerprint)
-        expected = DetectorService(replacement, cache_size=8).scores(
-            graph, fingerprint)
-        np.testing.assert_array_equal(swapped, expected)
+        np.testing.assert_array_equal(swapped, replacement.score_graph(graph))
         assert not np.array_equal(swapped, baseline)
 
     def test_worker_error_rebuilt_typed(self, pool):
@@ -383,36 +382,43 @@ class TestProcessPool:
 
 
 # ---------------------------------------------------------------------------
-# MicroBatcher executor plumbing + close report
+# Batcher → service → executor dispatch + close report
 # ---------------------------------------------------------------------------
 
 class TestBatcherExecutor:
     def test_cold_groups_dispatch_to_executor(self, pool_model,
                                               tiny_dataset):
         class Recorder:
-            def __init__(self, service):
-                self.service = service
+            def __init__(self, detector):
+                self.detector = detector
                 self.calls = []
 
             def score(self, graph, fingerprint):
                 self.calls.append(fingerprint)
-                return self.service.scores(graph, fingerprint)
+                return self.detector.score_graph(graph)
 
-        service = DetectorService(pool_model, cache_size=8)
-        shadow = DetectorService(pool_model, cache_size=8)
-        recorder = Recorder(shadow)
-        batcher = MicroBatcher(service, workers=1, executor=recorder)
+        recorder = Recorder(pool_model)
+        service = DetectorService(pool_model, cache_size=8,
+                                  executor=recorder)
+        batcher = MicroBatcher(service, workers=1)
         try:
             rng = np.random.default_rng(5)
             graph = random_multiplex(40, 3, 16, rng, avg_degree=4.0)
             fingerprint = graph_fingerprint(graph)
             scores = batcher.submit(graph, fingerprint).result(timeout=60)
             assert recorder.calls == [fingerprint]
-            # the leader seeded its own cache: a warm re-submit answers
-            # in-process without another executor dispatch
+            assert service.stats.misses == 1
+            # the service cached the executor's result: a warm re-submit
+            # answers in-process without another dispatch
             again = batcher.submit(graph, fingerprint).result(timeout=60)
             assert recorder.calls == [fingerprint]
-            np.testing.assert_array_equal(scores, again)
+            assert again is scores
+            # the trained graph is answered from stored scores, never
+            # dispatched
+            trained = batcher.submit(tiny_dataset.graph).result(timeout=60)
+            np.testing.assert_array_equal(trained,
+                                          pool_model.decision_scores())
+            assert recorder.calls == [fingerprint]
         finally:
             batcher.close()
 
@@ -439,7 +445,8 @@ class TestGatewayProcessTier:
         yield gateway
         gateway.close()
 
-    def test_http_score_parity_and_telemetry(self, gateway, pool_model):
+    def test_http_score_parity_and_telemetry(self, gateway, pool_model,
+                                             tiny_dataset):
         from repro.server.app import ServerThread
         from repro.server.client import ServerClient
 
@@ -474,7 +481,16 @@ class TestGatewayProcessTier:
                 thread.join(timeout=60.0)
             for got, want in zip(herd_scores, herd_expected):
                 np.testing.assert_array_equal(got, want)
-            assert gateway.pool.stats()["dispatches"] >= 1 + len(herd)
+            dispatches = gateway.pool.stats()["dispatches"]
+            assert dispatches >= 1 + len(herd)
+            # the trained graph is the leader's stored scores, bitwise,
+            # and never reaches a worker
+            trained = client.score(graph=tiny_dataset.graph)
+            assert np.array_equal(np.asarray(trained["scores"]),
+                                  pool_model.decision_scores())
+            assert gateway.pool.stats()["dispatches"] == dispatches
+            # every worker pass was a service miss
+            assert gateway.service.stats.misses == 1 + len(herd) + 1
             health = client.healthz(deep=True)
             assert health["exec_tier"] == "process"
             pool_health = health["components"]["pool"]
@@ -506,14 +522,26 @@ class TestGatewayProcessTier:
                           exec_tier="process", worker_procs=1,
                           sample_interval=60.0)
         try:
+            publish = gateway.pool.publish_detector
+            served_at_publish = []
+
+            def watched_publish(detector, *args, **kwargs):
+                served_at_publish.append(gateway.service.detector)
+                return publish(detector, *args, **kwargs)
+
+            gateway.pool.publish_detector = watched_publish
             response = gateway.activate("second")
             assert response["pool_generation"] == 2
+            # the pool swapped while the service still served the old
+            # model: no pass can start on the old weights after the
+            # service's generation bump
+            assert len(served_at_publish) == 1
+            assert served_at_publish[0] is pool_model
+            assert gateway.service.detector is not pool_model
             graph = tiny_dataset.graph
             fingerprint = graph_fingerprint(graph)
-            expected = DetectorService(replacement, cache_size=8).scores(
-                graph, fingerprint)
             got = gateway.pool.score(graph, fingerprint)
-            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(got, replacement.score_graph(graph))
         finally:
             gateway.close()
 

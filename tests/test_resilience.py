@@ -581,7 +581,7 @@ _CRASH_SCRIPT = textwrap.dedent("""\
         IncrementalGraphBuilder.from_graph(graph),
         window=20, top_k=5, snapshot_every=3,
         wal=WriteAheadLog(wal_dir))
-    monitor.process(events[:kill_at])
+    monitor.ingest(events[:kill_at])
     # no close(), no checkpoint(): die the hard way, mid-batch
     os.kill(os.getpid(), signal.SIGKILL)
 """)
@@ -612,7 +612,7 @@ class TestSigkillRecovery:
             DetectorService(_CheapDetector().fit(graph)),
             IncrementalGraphBuilder.from_graph(graph),
             window=20, top_k=5)
-        reference.process(events)
+        reference.ingest(events)
 
         wal = WriteAheadLog(wal_dir)
         resumed = StreamMonitor.recover(
@@ -622,7 +622,7 @@ class TestSigkillRecovery:
         # every accepted event survived the SIGKILL: scored or pending
         skip = resumed.events_consumed + resumed.buffered
         assert skip == kill_at
-        resumed.process(events[skip:])
+        resumed.ingest(events[skip:])
         assert resumed.builder.fingerprint() == \
             reference.builder.fingerprint()
         assert resumed.windows_scored == reference.windows_scored

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import threading
 import weakref
 
 import numpy as np
@@ -25,6 +26,28 @@ from repro.serve import (
     save_checkpoint,
 )
 from repro.serve.checkpoint import _HEADER_KEY
+
+
+class _StandInExecutor:
+    """A process-tier executor that scores in this process with the
+    detector it currently holds, counting calls. With ``hold`` set, each
+    call waits for ``release`` after taking its detector, so a test can
+    swap the model under a pass that is still in flight."""
+
+    def __init__(self, detector, hold=False):
+        self.detector = detector
+        self.calls = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if not hold:
+            self.release.set()
+
+    def score(self, graph, fingerprint):
+        detector = self.detector
+        self.calls.append(fingerprint)
+        self.entered.set()
+        assert self.release.wait(timeout=60)
+        return detector.score_graph(graph)
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +429,58 @@ class TestDetectorService:
         with pytest.raises(TypeError, match="BaseDetector"):
             service.replace_detector("not a detector")
 
+    def test_swap_mid_executor_pass_serves_new_model(self, fitted_umgad,
+                                                     rng):
+        graph = random_multiplex(30, 3, 16, rng)
+        replacement = UMGAD(UMGADConfig(epochs=2, mask_repeats=1,
+                                        hidden_dim=8, seed=1))
+        replacement.fit(random_multiplex(30, 3, 16, rng))
+        executor = _StandInExecutor(fitted_umgad, hold=True)
+        service = DetectorService(fitted_umgad, executor=executor)
+        stale = []
+        thread = threading.Thread(
+            target=lambda: stale.append(service.scores(graph)))
+        thread.start()
+        assert executor.entered.wait(timeout=60)
+        executor.detector = replacement      # the pool swaps first
+        service.replace_detector(replacement)
+        executor.release.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        # the in-flight pass answers its caller with the old model...
+        np.testing.assert_array_equal(stale[0],
+                                      fitted_umgad.score_graph(graph))
+        # ...but is not cached as the new model's: the next request runs
+        # a new pass on the new model
+        np.testing.assert_array_equal(service.scores(graph),
+                                      replacement.score_graph(graph))
+        assert len(executor.calls) == 2
+        assert service.stats.misses == 2 and service.stats.hits == 0
+
+    def test_executor_herd_is_one_pass(self, fitted_umgad, rng):
+        graph = random_multiplex(30, 3, 16, rng)
+        executor = _StandInExecutor(fitted_umgad, hold=True)
+        service = DetectorService(fitted_umgad, executor=executor)
+        results = [None] * 6
+
+        def ask(index):
+            results[index] = service.scores(graph)
+
+        threads = [threading.Thread(target=ask, args=(i,))
+                   for i in range(len(results))]
+        threads[0].start()
+        assert executor.entered.wait(timeout=60)
+        for thread in threads[1:]:
+            thread.start()
+        executor.release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert executor.calls == [graph_fingerprint(graph)]
+        assert service.stats.misses == 1
+        assert service.stats.hits == len(results) - 1
+        assert all(scores is results[0] for scores in results)
+
 
 class TestServiceCacheFootprint:
     """The LRU pins scores, not the graphs they were computed from."""
@@ -415,26 +490,18 @@ class TestServiceCacheFootprint:
         return random_multiplex(30, 3, 16, np.random.default_rng(seed))
 
     def test_scored_graph_freed_after_miss(self, fitted_umgad):
-        service = DetectorService(fitted_umgad)
-        graph = self._graph()
-        ref = weakref.ref(graph)
-        service.scores(graph)
-        del graph
-        gc.collect()
-        assert ref() is None
-        assert len(service) == 1
-
-    def test_seeded_graph_freed(self, fitted_umgad):
-        service = DetectorService(fitted_umgad)
-        graph = self._graph()
-        ref = weakref.ref(graph)
-        fingerprint = graph_fingerprint(graph)
-        scores = fitted_umgad.score_graph(graph)
-        service.seed_cache(fingerprint, scores)
-        del graph
-        gc.collect()
-        assert ref() is None
-        assert service.cached_scores(fingerprint) is scores
+        # both tiers: an in-process pass and an executor pass
+        for executor in (None, _StandInExecutor(fitted_umgad)):
+            service = DetectorService(fitted_umgad, executor=executor)
+            graph = self._graph()
+            ref = weakref.ref(graph)
+            fingerprint = graph_fingerprint(graph)
+            scores = service.scores(graph, fingerprint)
+            del graph
+            gc.collect()
+            assert ref() is None
+            assert len(service) == 1
+            assert service.cached_scores(fingerprint) is scores
 
     def test_caller_relations_keep_operator_caches(self, fitted_umgad):
         service = DetectorService(fitted_umgad)
@@ -444,8 +511,6 @@ class TestServiceCacheFootprint:
             assert relation.cache_info()["entries"] > 0
 
     def test_cache_hit_answers_match_fresh_service(self, checkpoint):
-        # Each service loads its own detector: explanations draw on the
-        # detector's RNG, so the two must start from the same state.
         warm = DetectorService(checkpoint)
         warm.scores(self._graph())
         graph = self._graph()  # same content, a new object: a cache hit

@@ -430,7 +430,7 @@ class TestMonitor:
         spike = [UpdateAttr(7, np.full(6, 50.0))] + \
                 [UpdateAttr((i + 8) % 60, graph.x[(i + 8) % 60])
                  for i in range(19)]
-        reports = monitor.process(quiet + spike)
+        reports = monitor.ingest(quiet + spike)
         assert len(reports) == 3
         assert not reports[0].alerts
         jumpers = [a.node for a in reports[2].alerts
@@ -445,7 +445,7 @@ class TestMonitor:
         monitor, _ = self._monitor(graph, window=50)
         quiet = [UpdateAttr(i, graph.x[i]) for i in range(50)]
         shift = [UpdateAttr(i, graph.x[i] + 10.0) for i in range(50)]
-        reports = monitor.process(quiet + shift)
+        reports = monitor.ingest(quiet + shift)
         assert reports[0].psi is None          # reference window
         drift = [a for a in reports[1].alerts if isinstance(a, DriftAlert)]
         assert drift and drift[0].psi > 0.25
@@ -464,7 +464,7 @@ class TestMonitor:
         old_detector = service.detector
         quiet = [UpdateAttr(i, graph.x[i]) for i in range(50)]
         shift = [UpdateAttr(i, graph.x[i] + 10.0) for i in range(50)]
-        reports = monitor.process(quiet + shift)
+        reports = monitor.ingest(quiet + shift)
         assert len(refits) == 1
         assert service.detector is not old_detector
         assert reports[1].refit
@@ -482,7 +482,7 @@ class TestMonitor:
         graph = random_multiplex(30, 2, 4, rng, avg_degree=3.0)
         monitor, _ = self._monitor(graph, window=10)
         events = [UpdateAttr(0, graph.x[0] * (1 + k)) for k in range(30)]
-        monitor.process(events)
+        monitor.ingest(events)
         trajectory = monitor.trajectory(0)
         assert [w for w, _ in trajectory] == [0, 1, 2]
         scores = [s for _, s in trajectory]
@@ -491,7 +491,7 @@ class TestMonitor:
     def test_flush_scores_partial_tail(self, rng):
         graph = random_multiplex(30, 2, 4, rng, avg_degree=3.0)
         monitor, _ = self._monitor(graph, window=10)
-        reports = monitor.process(
+        reports = monitor.ingest(
             [UpdateAttr(0, graph.x[0]) for _ in range(15)])
         assert len(reports) == 1
         tail = monitor.flush()
@@ -502,7 +502,7 @@ class TestMonitor:
     def test_monitor_uses_builder_fingerprint_not_rehash(self, rng):
         graph = random_multiplex(30, 2, 4, rng, avg_degree=3.0)
         monitor, service = self._monitor(graph, window=10)
-        reports = monitor.process(
+        reports = monitor.ingest(
             [UpdateAttr(0, graph.x[0]) for _ in range(10)])
         assert reports[0].fingerprint == graph_fingerprint(monitor.builder.snapshot())
         assert service.stats.misses == 1
@@ -510,7 +510,7 @@ class TestMonitor:
     def test_report_dict_is_jsonable(self, rng):
         graph = random_multiplex(30, 2, 4, rng, avg_degree=3.0)
         monitor, _ = self._monitor(graph, window=10)
-        reports = monitor.process(
+        reports = monitor.ingest(
             [UpdateAttr(0, np.full(4, 9.0)) for _ in range(20)])
         for report in reports:
             payload = json.loads(json.dumps(report.to_dict(), default=float))
@@ -526,7 +526,7 @@ class TestMonitor:
                  for i in range(9)]
 
         sliding, _ = self._monitor(graph, window=20, stride=10)
-        reports = sliding.process(quiet + spike)
+        reports = sliding.ingest(quiet + spike)
         assert len(reports) == 4            # cadence = stride, not window
         # the spike lands in snapshot 3; the jump is measured against the
         # snapshot ~window (= 2 strides) back

@@ -400,7 +400,7 @@ class TestRecovery:
         events, _ = synthesize_stream(graph, 110, rng)
         wal = WriteAheadLog(tmp_path, fsync=False)
         live = _monitor(graph, wal=wal, window=20, snapshot_every=2)
-        live.process(events)
+        live.ingest(events)
         # no checkpoint: simulate a crash by abandoning the monitor
         wal.close()
 
@@ -420,12 +420,12 @@ class TestRecovery:
                                       np.random.default_rng(5))
         # uninterrupted reference run
         reference = _monitor(graph, window=20)
-        reference.process(events)
+        reference.ingest(events)
 
         # crashed run: first 90 events, no checkpoint
         wal = WriteAheadLog(tmp_path, fsync=False)
         first = _monitor(graph, wal=wal, window=20, snapshot_every=3)
-        first.process(events[:90])
+        first.ingest(events[:90])
         wal.close()
 
         # recover, feed the remainder: final state matches the reference
@@ -438,7 +438,7 @@ class TestRecovery:
         assert service.stats.requests == 0
         skip = resumed.events_consumed + resumed.buffered
         assert skip == 90
-        resumed.process(events[skip:])
+        resumed.ingest(events[skip:])
         assert resumed.builder.fingerprint() == \
             reference.builder.fingerprint()
         assert resumed.windows_scored == reference.windows_scored
@@ -451,10 +451,10 @@ class TestRecovery:
         graph = random_multiplex(40, 2, 4, rng, avg_degree=3.0)
         events, _ = synthesize_stream(graph, 110, rng)
         plain = _monitor(graph)
-        plain_reports = plain.process(events)
+        plain_reports = plain.ingest(events)
         wal = WriteAheadLog(tmp_path, fsync=False)
         logged = _monitor(graph, wal=wal, snapshot_every=2)
-        logged_reports = logged.process(events)
+        logged_reports = logged.ingest(events)
         wal.close()
         assert wal.stats.appends > 0
         assert logged.builder.fingerprint() == plain.builder.fingerprint()
@@ -468,7 +468,7 @@ class TestRecovery:
         events, _ = synthesize_stream(graph, 50, rng)
         wal = WriteAheadLog(tmp_path, fsync=False)
         live = _monitor(graph, wal=wal, window=20)
-        live.process(events)
+        live.ingest(events)
         live.checkpoint()
         wal.close()
 
