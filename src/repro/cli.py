@@ -180,9 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="thread",
                        help="scoring execution tier: 'thread' scores "
                             "in-process; 'process' forks --worker-procs "
-                            "scorers over a shared-memory checkpoint "
-                            "(falls back to threads when shm is "
-                            "unavailable)")
+                            "scorers, each with its own copy of the "
+                            "checkpoint (falls back to threads when they "
+                            "cannot be started)")
     serve.add_argument("--max-queue", type=int, default=64,
                        help="admission bound: pending requests beyond this "
                             "are refused with 429")
@@ -606,8 +606,7 @@ def _run_serve(args) -> int:
         report = server.close()
         batcher = report.get("batcher", {})
         pool = report.get("pool", {})
-        if batcher.get("leaked_workers") or pool.get("workers_killed") \
-                or pool.get("leaked_segments"):
+        if batcher.get("leaked_workers") or pool.get("workers_killed"):
             print(f"dirty shutdown: {report}", file=sys.stderr, flush=True)
     return 0
 

@@ -662,16 +662,12 @@ class UMGAD(BaseDetector):
             raise RuntimeError("fit() the model before taking a state dict")
         return self.networks.state_dict()
 
-    def load_state_dict(self, state: Dict[str, np.ndarray],
-                        copy: bool = True) -> None:
-        """Strictly load arrays produced by :meth:`state_dict`.
-
-        ``copy=False`` aliases the arrays (shared-memory serving tier).
-        """
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Strictly load arrays produced by :meth:`state_dict`."""
         if self.networks is None:
             raise RuntimeError(
                 "allocate networks first (fit() or build_networks())")
-        self.networks.load_state_dict(state, copy=copy)
+        self.networks.load_state_dict(state)
         self._inference_nets = {}
 
     def score_graph(self, graph: MultiplexGraph, seed: Optional[int] = None,

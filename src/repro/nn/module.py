@@ -84,17 +84,8 @@ class Module:
         """Copy all parameter arrays into a flat name → array dict."""
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: Dict[str, np.ndarray],
-                        copy: bool = True) -> None:
-        """Load arrays produced by :meth:`state_dict` (strict matching).
-
-        ``copy=False`` aliases the given arrays as the parameter data
-        instead of copying. The process pool (:mod:`repro.pool`) uses
-        this to point parameters at read-only shared-memory views, so N
-        worker processes share one physical copy of the weights; callers
-        passing ``copy=False`` own the aliasing consequences (mutating
-        the source arrays mutates the model).
-        """
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Load arrays produced by :meth:`state_dict` (strict matching)."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -109,7 +100,7 @@ class Module:
                     f"shape mismatch for {name}: {param.data.shape} vs "
                     f"{state[name].shape}"
                 )
-            param.data = state[name].copy() if copy else state[name]
+            param.data = state[name].copy()
 
     def save_state(self, path) -> None:
         """Write :meth:`state_dict` to a compressed ``.npz`` archive."""

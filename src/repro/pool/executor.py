@@ -1,41 +1,41 @@
-"""Process-pool leader: fork scoring workers over a shared checkpoint.
+"""Process-pool leader: scoring workers, each with its own checkpoint copy.
 
 :class:`ProcessPool` is the leader half of the process execution tier.
-It publishes the active detector's checkpoint payload into shared memory
-once (:class:`~repro.pool.shm.SharedModelStore`), forks ``workers``
-scoring processes that attach it zero-copy, and dispatches scoring work
-over per-worker pipes:
+It serializes the active detector once with
+:func:`~repro.serve.checkpoint.checkpoint_payload`, starts ``workers``
+scoring processes that each load that ``(header, payload)`` through the
+same :func:`~repro.serve.checkpoint.detector_from_payload` path a file
+load takes, and dispatches scoring work over per-worker pipes:
 
-* **Sticky routing** — a fingerprint always lands on the same worker
-  (crc32 modulo pool size), so *distinct* fingerprints fan out across
-  processes (the herd case the thread tier serializes on the GIL).
-  Workers cache no results: the leader's
-  :class:`~repro.serve.service.DetectorService` caches and dedups, and
-  dispatches here only the passes it cannot answer.
-* **Generation pinning** — every dispatch holds a reference on the
-  checkpoint generation it was routed against; ``publish_detector()``
-  hot-swaps all workers to a new generation and the old segments are
-  unlinked only when the last in-flight batch drains.
+* **Idle dispatch** — a batch goes to the first worker whose lock is
+  free and waits on a busy one only when every worker is busy, so
+  *distinct* fingerprints fan out across processes (the herd case the
+  thread tier serializes on the GIL). Workers cache no results: the
+  leader's :class:`~repro.serve.service.DetectorService` caches and
+  dedups, and dispatches here only the passes it cannot answer.
+* **Hot swap** — ``publish_detector()`` bumps the generation and sends
+  the new payload to each worker under that worker's dispatch lock, so
+  a batch runs wholly on the old weights or wholly on the new ones.
 * **Crash rescue** — a worker that dies mid-batch (EOF/broken pipe/recv
-  timeout) is killed, respawned from the current manifest, and the batch
+  timeout) is killed, respawned from the newest payload, and the batch
   retried a bounded number of times; a watchdog respawns workers that die
-  *idle*. SIGKILLed workers leak nothing — the leader owns the segments.
+  *idle*.
 * **Chaos** — ``pool.dispatch`` (leader, pre-send) and ``pool.worker``
   (child, pre-score) fail points let the fault-injection suite exercise
   both sides of the pipe.
 
-The pool raises :class:`PoolUnavailable` from ``__init__`` when the
-platform has no usable POSIX shared memory; the gateway catches that and
-falls back to the in-process thread tier.
+The pool raises :class:`PoolUnavailable` from ``__init__`` when a worker
+cannot be started; the gateway catches that and falls back to the
+in-process thread tier.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import threading
 import time
-import zlib
 from typing import List, Optional
 
 import numpy as np
@@ -45,25 +45,21 @@ from ..graphs.multiplex import MultiplexGraph
 from ..obs.metrics import Collected, dict_families, family
 from ..obs.trace import span
 from ..serve.checkpoint import checkpoint_payload
-from .shm import (
-    SharedMemoryError,
-    SharedModelStore,
-    list_segments,
-    reclaim_stale_segments,
-    shm_available,
-)
 from .worker import encode_graph, rebuild_error, worker_main
 
-#: environment override for the multiprocessing start method
-_START_ENV = "REPRO_POOL_START"
+#: multiprocessing start method: fork where the platform has it (a
+#: forked worker inherits the payload instead of unpickling it), else the
+#: platform default
+_START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                 else None)
 
 #: how long to wait for a freshly spawned worker's "ready" handshake
 _READY_TIMEOUT = 60.0
 
-#: default ceiling on one batch's round trip before the worker is
-#: declared wedged and respawned (scoring a cold graph is seconds, not
-#: minutes, at the dataset sizes this project serves)
-_DEFAULT_SCORE_TIMEOUT = 300.0
+#: ceiling on one batch's round trip before the worker is declared
+#: wedged and respawned (scoring a cold graph is seconds, not minutes, at
+#: the dataset sizes this project serves)
+_SCORE_TIMEOUT = 300.0
 
 #: how many times a batch is retried after a worker crash
 _MAX_RETRIES = 2
@@ -72,7 +68,7 @@ _WATCHDOG_INTERVAL = 1.0
 
 
 class PoolUnavailable(RuntimeError):
-    """The process tier cannot run here (no shm, spawn failure, closed)."""
+    """The process tier cannot run here (spawn failure, closed)."""
 
 
 class _Worker:
@@ -123,19 +119,8 @@ _POOL_FAMILIES = (
      "Batches retried after a worker crash or stall."),
     ("worker_deaths", "pool_worker_deaths_total", "counter",
      "Worker processes that died and were respawned."),
-    ("shm_generation", "pool_generation", "gauge",
+    ("generation", "pool_generation", "gauge",
      "Active shared-checkpoint generation."),
-    ("shm_generations_live", "pool_shm_generations_live", "gauge",
-     "Checkpoint generations still mapped (in-flight batches pin retired "
-     "ones)."),
-    ("shm_segments", "pool_shm_segments", "gauge",
-     "Shared-memory segments currently linked."),
-    ("shm_bytes", "pool_shm_bytes", "gauge",
-     "Bytes of checkpoint payload in shared memory (one copy per machine)."),
-    ("shm_refs", "pool_shm_refs", "gauge",
-     "In-flight batch references pinning generations."),
-    ("shm_retired_unlinked", "pool_shm_retired_total", "counter",
-     "Retired generations whose segments were unlinked."),
 )
 
 #: (worker_infos() key, family, kind, HELP) of the per-worker families
@@ -152,69 +137,39 @@ _WORKER_FAMILIES = (
 
 
 class ProcessPool:
-    """N forked scoring workers sharing one shm copy of the checkpoint.
+    """N scoring worker processes, each holding its own checkpoint copy.
 
     Parameters
     ----------
     detector:
-        The fitted detector to publish (must be checkpointable — the pool
+        The fitted detector to serve (must be checkpointable — the pool
         serializes it through :func:`repro.serve.checkpoint.checkpoint_payload`).
     workers:
-        Number of scoring processes.
-    graph:
-        Optional training graph, forwarded to ``checkpoint_payload`` so
-        the published header carries the trained-graph fingerprint.
-    score_timeout:
-        Seconds one dispatched batch may take before its worker is
-        declared wedged and respawned.
-    start_method:
-        multiprocessing start method; defaults to ``$REPRO_POOL_START``,
-        then ``fork`` where available (workers then inherit nothing but
-        page-table entries). Create the pool **before** starting any
-        threads when using fork.
+        Number of scoring processes. Create the pool **before** starting
+        any threads: workers are forked where the platform allows.
     """
 
-    def __init__(self, detector, workers: int = 2,
-                 graph: Optional[MultiplexGraph] = None,
-                 score_timeout: float = _DEFAULT_SCORE_TIMEOUT,
-                 start_method: Optional[str] = None):
+    def __init__(self, detector, workers: int = 2):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if not shm_available():
-            raise PoolUnavailable(
-                "POSIX shared memory is unavailable; process tier cannot "
-                "run here (falling back to threads is the caller's job)")
-        self.reclaimed_segments = reclaim_stale_segments()
-        self.score_timeout = float(score_timeout)
         self._lock = threading.Lock()
         self._closed = False
         self.dispatches = 0
         self.retries = 0
         self.worker_deaths = 0
-
-        method = start_method or os.environ.get(_START_ENV)
-        if method is None:
-            method = ("fork" if "fork" in
-                      multiprocessing.get_all_start_methods() else None)
-        self._ctx = (multiprocessing.get_context(method)
-                     if method else multiprocessing.get_context())
-
-        self._store = SharedModelStore()
+        self._ctx = multiprocessing.get_context(_START_METHOD)
+        #: (generation, header, payload) every (re)spawn starts from;
+        #: replaced whole by publish_detector so a reader sees one triple
+        self._checkpoint = (1, *checkpoint_payload(detector))
+        #: where a batch waits when every worker is busy
+        self._rotation = itertools.count()
+        self._workers = [_Worker(worker_id) for worker_id in range(workers)]
         try:
-            header, payload = checkpoint_payload(detector, graph)
-            self._store.publish(header, payload)
-            self._workers: List[_Worker] = []
-            for worker_id in range(int(workers)):
-                worker = _Worker(worker_id)
+            for worker in self._workers:
                 self._spawn(worker)
-                self._workers.append(worker)
         except PoolUnavailable:
             self._abort()
             raise
-        except (SharedMemoryError, OSError, ValueError) as exc:
-            self._abort()
-            raise PoolUnavailable(f"process pool startup failed: {exc}") \
-                from exc
 
         self._watchdog_stop = threading.Event()
         self._watchdog = threading.Thread(
@@ -223,46 +178,54 @@ class ProcessPool:
 
     def _abort(self) -> None:
         """Best-effort teardown for a pool that never finished starting."""
-        for worker in getattr(self, "_workers", []):
+        for worker in self._workers:
             if worker.process is not None and worker.process.is_alive():
                 worker.process.kill()
-        try:
-            self._store.close()
-        except SharedMemoryError:  # pragma: no cover
-            pass
+                worker.process.join(timeout=5.0)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _spawn(self, worker: _Worker) -> None:
-        """(Re)start one worker from the current manifest. Caller must
+        """(Re)start one worker from the newest checkpoint. Caller must
         hold ``worker.lock`` when respawning a live slot."""
-        manifest = self._store.manifest()
+        generation, header, payload = self._checkpoint
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, manifest, worker.worker_id),
+            args=(child_conn, worker.worker_id, generation, header, payload),
             name=f"repro-pool-worker-{worker.worker_id}",
             daemon=True,
         )
-        process.start()
-        child_conn.close()
-        if not parent_conn.poll(_READY_TIMEOUT):
-            process.kill()
+        try:
+            process.start()
+        except OSError as exc:  # fork/spawn refused (EAGAIN, ENOMEM)
+            parent_conn.close()
             raise PoolUnavailable(
-                f"worker {worker.worker_id} did not come up within "
-                f"{_READY_TIMEOUT:.0f}s")
-        reply = parent_conn.recv()
-        if reply[0] != "ready":
+                f"worker {worker.worker_id} could not start: {exc}") from exc
+        finally:
+            child_conn.close()
+        reply = None
+        if parent_conn.poll(_READY_TIMEOUT):
+            try:
+                reply = parent_conn.recv()
+            except EOFError:  # the worker died before its handshake
+                pass
+        if reply is None or reply[0] != "ready":
             process.kill()
+            process.join(timeout=5.0)
+            parent_conn.close()
             raise PoolUnavailable(
-                f"worker {worker.worker_id} failed to initialise: {reply!r}")
+                f"worker {worker.worker_id} sent no 'ready' within "
+                f"{_READY_TIMEOUT:.0f}s (got {reply!r})")
         worker.process = process
         worker.conn = parent_conn
         worker.generation = reply[2]
 
     def _respawn(self, worker: _Worker) -> None:
         """Kill (if needed) and restart a crashed/wedged worker."""
+        if self._closed:
+            raise PoolUnavailable("process pool is closed")
         if worker.process is not None and worker.process.is_alive():
             worker.process.kill()
             worker.process.join(timeout=5.0)
@@ -300,10 +263,15 @@ class ProcessPool:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _pick(self, fingerprint: str) -> _Worker:
-        """Sticky fingerprint → worker routing."""
-        index = zlib.crc32(fingerprint.encode()) % len(self._workers)
-        return self._workers[index]
+    def _acquire(self) -> _Worker:
+        """Lock and return an idle worker; wait on a busy one (in
+        rotation) only when every worker is busy."""
+        for worker in self._workers:
+            if worker.lock.acquire(blocking=False):
+                return worker
+        worker = self._workers[next(self._rotation) % len(self._workers)]
+        worker.lock.acquire()
+        return worker
 
     def score(self, graph: MultiplexGraph, fingerprint: str) -> np.ndarray:
         """Score one (graph, fingerprint) batch on a worker process.
@@ -318,34 +286,32 @@ class ProcessPool:
             raise PoolUnavailable("process pool is closed")
         chaos.fail_point("pool.dispatch", key=fingerprint)
         payload = encode_graph(graph)
-        request_id = None
         last_exc: Optional[BaseException] = None
         for attempt in range(_MAX_RETRIES + 1):
-            worker = self._pick(fingerprint)
-            generation = self._store.acquire()
+            worker = self._acquire()
             try:
                 with span("pool.dispatch") as sp:
                     sp.set("pool.worker", worker.worker_id)
-                    sp.set("pool.generation", generation)
+                    sp.set("pool.generation", worker.generation)
                     sp.set("pool.attempt", attempt)
-                    with worker.lock:
-                        request_id = f"{fingerprint[:12]}:{self.dispatches}"
+                    with self._lock:  # batches run on several workers
                         self.dispatches += 1
-                        try:
-                            worker.conn.send(
-                                ("score", request_id, payload, fingerprint))
-                            if not worker.conn.poll(self.score_timeout):
-                                raise TimeoutError(
-                                    f"worker {worker.worker_id} exceeded "
-                                    f"{self.score_timeout:.0f}s")
-                            reply = worker.conn.recv()
-                        except (BrokenPipeError, EOFError, OSError,
-                                TimeoutError) as exc:
-                            worker.errors += 1
-                            last_exc = exc
-                            self.retries += 1
-                            self._respawn(worker)
-                            continue
+                        request_id = f"{fingerprint[:12]}:{self.dispatches}"
+                    try:
+                        worker.conn.send(
+                            ("score", request_id, payload, fingerprint))
+                        if not worker.conn.poll(_SCORE_TIMEOUT):
+                            raise TimeoutError(
+                                f"worker {worker.worker_id} exceeded "
+                                f"{_SCORE_TIMEOUT:.0f}s")
+                        reply = worker.conn.recv()
+                    except (BrokenPipeError, EOFError, OSError,
+                            TimeoutError) as exc:
+                        worker.errors += 1
+                        last_exc = exc
+                        self.retries += 1
+                        self._respawn(worker)
+                        continue
                     if reply[0] == "err":
                         worker.errors += 1
                         raise rebuild_error(reply[2], reply[3])
@@ -358,7 +324,7 @@ class ProcessPool:
                         ws.set("pool.generation", telemetry["generation"])
                     return scores
             finally:
-                self._store.release(generation)
+                worker.lock.release()
         raise PoolUnavailable(
             f"batch failed after {_MAX_RETRIES + 1} attempts "
             f"(last worker error: {last_exc})")
@@ -366,30 +332,30 @@ class ProcessPool:
     # ------------------------------------------------------------------
     # Hot swap
     # ------------------------------------------------------------------
-    def publish_detector(self, detector,
-                         graph: Optional[MultiplexGraph] = None) -> int:
-        """Publish a new checkpoint generation and retarget all workers.
+    def publish_detector(self, detector) -> int:
+        """Make ``detector`` the next generation and reload every worker.
 
         Atomic per worker: each reload happens under that worker's
         dispatch lock, so a batch either runs wholly on the old weights
-        or wholly on the new ones. Old segments are unlinked once the
-        last in-flight reference drains. Returns the new generation id.
+        or wholly on the new ones. Returns the new generation id.
         """
         if self._closed:
             raise PoolUnavailable("process pool is closed")
-        header, payload = checkpoint_payload(detector, graph)
-        manifest = self._store.publish(header, payload)
+        header, payload = checkpoint_payload(detector)
+        with self._lock:
+            generation = self._checkpoint[0] + 1
+            self._checkpoint = (generation, header, payload)
         failures: List[str] = []
         for worker in self._workers:
             with worker.lock:
                 try:
-                    worker.conn.send(("reload", manifest))
+                    worker.conn.send(("reload", generation, header, payload))
                     if not worker.conn.poll(_READY_TIMEOUT):
                         raise TimeoutError("reload timed out")
                     reply = worker.conn.recv()
                 except (BrokenPipeError, EOFError, OSError,
                         TimeoutError) as exc:
-                    # A respawn attaches the *new* manifest — the swap
+                    # A respawn starts from the *new* payload — the swap
                     # still converges.
                     try:
                         self._respawn(worker)
@@ -406,7 +372,7 @@ class ProcessPool:
         if failures:
             raise PoolUnavailable(
                 "hot swap incomplete: " + "; ".join(failures))
-        return int(manifest["generation"])
+        return generation
 
     # ------------------------------------------------------------------
     # Introspection
@@ -417,7 +383,7 @@ class ProcessPool:
 
     @property
     def generation(self) -> int:
-        return int(self._store.current_generation or 0)
+        return self._checkpoint[0]
 
     def worker_infos(self) -> List[dict]:
         """Per-worker liveness/throughput/memory snapshot (for /healthz
@@ -437,16 +403,14 @@ class ProcessPool:
         return infos
 
     def stats(self) -> dict:
-        """Pool-level counters + shm store stats (one flat dict)."""
-        shm = self._store.stats()
+        """Pool-level counters (one flat dict)."""
         return {
             "workers": len(self._workers),
             "workers_alive": sum(1 for w in self._workers if w.alive),
             "dispatches": self.dispatches,
             "retries": self.retries,
             "worker_deaths": self.worker_deaths,
-            "reclaimed_at_startup": len(self.reclaimed_segments),
-            **{f"shm_{key}": value for key, value in shm.items()},
+            "generation": self.generation,
         }
 
     def collect(self) -> Collected:
@@ -480,16 +444,15 @@ class ProcessPool:
     # Shutdown
     # ------------------------------------------------------------------
     def close(self, timeout: float = 10.0) -> dict:
-        """Stop workers, unlink segments, report what did not die cleanly.
+        """Stop workers, report what did not die cleanly.
 
-        Returns ``{"workers_stopped", "workers_killed", "leaked_segments"}``
-        — the caller (gateway → app shutdown) logs a non-empty kill/leak
-        report instead of dropping it.
+        Returns ``{"workers_stopped", "workers_killed"}`` — the caller
+        (gateway → app shutdown) logs a non-zero kill count instead of
+        dropping it.
         """
         with self._lock:
             if self._closed:
-                return {"workers_stopped": 0, "workers_killed": 0,
-                        "leaked_segments": []}
+                return {"workers_stopped": 0, "workers_killed": 0}
             self._closed = True
         self._watchdog_stop.set()
         self._watchdog.join(timeout=5.0)
@@ -516,11 +479,7 @@ class ProcessPool:
                         worker.conn.close()
                     except OSError:  # pragma: no cover
                         pass
-        self._store.close()
-        leaked = [name for name in list_segments()
-                  if f"-{os.getpid()}-" in name]
-        return {"workers_stopped": stopped, "workers_killed": killed,
-                "leaked_segments": leaked}
+        return {"workers_stopped": stopped, "workers_killed": killed}
 
 
 __all__ = ["PoolUnavailable", "ProcessPool"]

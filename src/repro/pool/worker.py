@@ -1,20 +1,21 @@
-"""Scoring worker process: attach shared weights, answer batches over a pipe.
+"""Scoring worker process: load the leader's checkpoint, answer batches.
 
-One worker = one OS process owning a private GIL. It attaches the
-leader's shared-memory checkpoint (:class:`~repro.pool.shm.SharedCheckpoint`),
-reconstructs the detector **zero-copy** through the exact
+One worker = one OS process owning a private GIL. It receives the
+leader's checkpoint ``(header, payload)`` as its process arguments (a
+forked worker inherits them, a spawned one unpickles them once) and
+builds its own detector through the exact
 :func:`~repro.serve.checkpoint.detector_from_payload` path a file load
-takes, and then loops on its pipe. It keeps no result cache: the
-leader's :class:`~repro.serve.service.DetectorService` caches, dedups and
-answers the trained graph from stored scores, and dispatches only the
-passes it cannot answer.
+takes, then loops on its pipe. It keeps no result cache: the leader's
+:class:`~repro.serve.service.DetectorService` caches, dedups and answers
+the trained graph from stored scores, and dispatches only the passes it
+cannot answer.
 
 * ``("score", req_id, graph_payload, fingerprint)`` → runs the
   detector's ``score_graph`` on the graph, the same pass the thread tier
   runs (bitwise parity), and replies ``("ok", req_id, scores, telemetry)``.
-* ``("reload", manifest)`` → atomically retargets to a new checkpoint
-  generation (hot-swap); the previous generation's mappings are closed
-  only after the new detector is live.
+* ``("reload", generation, header, payload)`` → builds the new
+  generation's detector and swaps to it (hot swap); a failed load keeps
+  the old one.
 * ``("ping", req_id)`` → liveness telemetry.
 * ``("stop",)`` → clean exit.
 
@@ -34,21 +35,18 @@ from __future__ import annotations
 import os
 import signal
 import time
-from typing import Optional
 
 from .. import chaos
 from ..graphs.graph import RelationGraph
 from ..graphs.multiplex import MultiplexGraph
 from ..serve.checkpoint import CheckpointError, detector_from_payload
 from ..serve.service import ServiceError
-from .shm import SharedCheckpoint, SharedMemoryError
 
 #: exception kinds a worker reports that the leader re-raises typed;
 #: anything else comes back as a RuntimeError with the original repr
 _TYPED_ERRORS = {
     "ServiceError": ServiceError,
     "CheckpointError": CheckpointError,
-    "SharedMemoryError": SharedMemoryError,
     "ValueError": ValueError,
     "KeyError": KeyError,
     "IndexError": IndexError,
@@ -85,24 +83,8 @@ def rebuild_error(kind: str, message: str) -> BaseException:
     return RuntimeError(f"worker {kind}: {message}")
 
 
-class _WorkerState:
-    """The attached checkpoint + detector for the current generation."""
-
-    def __init__(self, manifest: dict):
-        self.shared = SharedCheckpoint.attach(manifest)
-        self.detector = detector_from_payload(
-            self.shared.header, self.shared.arrays(),
-            source=f"shm:gen{self.shared.generation}", copy=False)
-        self.generation = self.shared.generation
-
-    def close(self) -> None:
-        # Drop the detector before unmapping the segments its parameters
-        # alias.
-        self.detector = None
-        self.shared.close()
-
-
-def worker_main(conn, manifest: dict, worker_id: int) -> None:
+def worker_main(conn, worker_id: int, generation: int, header: dict,
+                payload: dict) -> None:
     """Entry point of one scoring worker process (runs until ``stop``)."""
     # The leader owns lifecycle; a Ctrl-C on the foreground process group
     # must not take workers down mid-batch (close() will).
@@ -110,11 +92,11 @@ def worker_main(conn, manifest: dict, worker_id: int) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    state: Optional[_WorkerState] = None
     requests = 0
     try:
-        state = _WorkerState(manifest)
-        conn.send(("ready", worker_id, state.generation))
+        detector = detector_from_payload(header, payload,
+                                         source=f"pool:gen{generation}")
+        conn.send(("ready", worker_id, generation))
         while True:
             try:
                 message = conn.recv()
@@ -131,20 +113,21 @@ def worker_main(conn, manifest: dict, worker_id: int) -> None:
                 try:
                     chaos.fail_point("pool.worker", key=fingerprint)
                     graph = decode_graph(graph_payload)
-                    scores = state.detector.score_graph(graph)
+                    scores = detector.score_graph(graph)
                 except BaseException as exc:  # noqa: BLE001 - serialized
                     conn.send(("err", req_id, type(exc).__name__, str(exc)))
                 else:
                     requests += 1
                     conn.send(("ok", req_id, scores, {
                         "worker": worker_id,
-                        "generation": state.generation,
+                        "generation": generation,
                         "wall_ms": (time.perf_counter() - started) * 1e3,
                     }))
             elif op == "reload":
-                _req, new_manifest = message
+                _req, new_generation, header, payload = message
                 try:
-                    fresh = _WorkerState(new_manifest)
+                    detector = detector_from_payload(
+                        header, payload, source=f"pool:gen{new_generation}")
                 except BaseException as exc:  # noqa: BLE001 - serialized
                     # Keep serving the old generation — a failed hot-swap
                     # must leave the worker usable, mirroring the
@@ -152,16 +135,14 @@ def worker_main(conn, manifest: dict, worker_id: int) -> None:
                     conn.send(("err", "reload", type(exc).__name__,
                                str(exc)))
                 else:
-                    old, state = state, fresh
-                    if old is not None:
-                        old.close()
-                    conn.send(("reloaded", worker_id, state.generation))
+                    generation = new_generation
+                    conn.send(("reloaded", worker_id, generation))
             elif op == "ping":
                 _req, req_id = message
                 conn.send(("pong", req_id, {
                     "worker": worker_id,
                     "pid": os.getpid(),
-                    "generation": state.generation if state else None,
+                    "generation": generation,
                     "requests": requests,
                 }))
             else:
@@ -170,8 +151,6 @@ def worker_main(conn, manifest: dict, worker_id: int) -> None:
     except BaseException:  # noqa: BLE001 - last-resort: die visibly
         pass
     finally:
-        if state is not None:
-            state.close()
         try:
             conn.close()
         except OSError:  # pragma: no cover

@@ -131,11 +131,11 @@ def checkpoint_payload(detector: BaseDetector,
     """Build a checkpoint's (header, payload arrays) without writing it.
 
     This is the serialization half of :func:`save_checkpoint`, split out
-    so the process pool (:mod:`repro.pool`) can publish the exact same
-    representation into shared memory: a worker attaching the payload
-    reconstructs the detector through the same
-    :func:`detector_from_payload` path a file load takes, which is what
-    pins process-tier scores bitwise to the thread tier.
+    so the process pool (:mod:`repro.pool`) can hand its workers the
+    exact same representation: a worker reconstructs the detector from
+    the payload through the same :func:`detector_from_payload` path a
+    file load takes, which is what pins process-tier scores bitwise to
+    the thread tier.
     """
     if detector._scores is None:
         raise CheckpointError(
@@ -193,7 +193,7 @@ def checkpoint_payload(detector: BaseDetector,
         # A detector reconstructed from a checkpoint has no training
         # graph, but its original header remembers the fingerprint —
         # carry the provenance through a re-serialization (activate →
-        # shm publish, registry copy) so the stored-scores fast path
+        # pool reload, registry copy) so the stored-scores fast path
         # survives the round trip.
         prior = getattr(detector, "_checkpoint_header", None)
         if isinstance(prior, dict):
@@ -311,20 +311,16 @@ def load_checkpoint(path, match_dtype: bool = False) -> BaseDetector:
 def detector_from_payload(header: Dict[str, object],
                           payload: Dict[str, np.ndarray],
                           source: str = "<payload>",
-                          verify: bool = True,
-                          copy: bool = True) -> BaseDetector:
+                          verify: bool = True) -> BaseDetector:
     """Reconstruct a detector from a checkpoint's (header, payload).
 
     The reconstruction half of :func:`load_checkpoint`, shared with the
-    shared-memory attach path in :mod:`repro.pool` — both entry points
-    build the detector through the exact same code, so a process-tier
-    worker's model is indistinguishable from a file-loaded one.
+    process-pool workers in :mod:`repro.pool` — both entry points build
+    the detector through the exact same code, so a process-tier worker's
+    model is indistinguishable from a file-loaded one.
 
-    ``source`` labels error messages (a path, or a shm manifest tag).
+    ``source`` labels error messages (a path, or a pool generation tag).
     ``verify`` re-checks the payload sha256 against the header.
-    ``copy=False`` aliases the payload arrays directly into the detector
-    (model weights, stored scores) instead of copying — the zero-copy
-    mode workers use so N processes share one physical set of weights.
     """
     checksum = _payload_checksum(payload)
     if verify and checksum != header.get("checksum"):
@@ -373,7 +369,7 @@ def detector_from_payload(header: Dict[str, object],
         except KeyError as exc:
             raise CheckpointError(
                 f"{source}: header is missing required field {exc}") from None
-        detector.load_state_dict(params, copy=copy)
+        detector.load_state_dict(params)
         detector._scores = arrays["_scores"]
     else:
         cls = classes[cls_name]

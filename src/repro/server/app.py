@@ -353,8 +353,8 @@ class ReproServer(ThreadingHTTPServer):
         """Stop accepting, drain admitted work, release the socket.
 
         The gateway's shutdown report (leaked batcher threads, killed
-        pool workers, leaked shm segments) is logged here — a dirty
-        shutdown used to vanish silently — and returned to the caller.
+        pool workers) is logged here — a dirty shutdown used to vanish
+        silently — and returned to the caller.
         Idempotent: repeated calls return the first report unlogged.
         """
         previous = getattr(self, "_close_report", None)
@@ -367,14 +367,12 @@ class ReproServer(ThreadingHTTPServer):
         batcher = report.get("batcher", {})
         pool = report.get("pool", {})
         dirty = bool(batcher.get("leaked_workers")) or \
-            bool(pool.get("workers_killed")) or \
-            bool(pool.get("leaked_segments"))
+            bool(pool.get("workers_killed"))
         if dirty:
             _log.error("server.dirty_shutdown",
                        leaked_threads=batcher.get("leaked_workers", []),
                        pending_at_close=batcher.get("pending_at_close", 0),
-                       pool_workers_killed=pool.get("workers_killed", 0),
-                       leaked_segments=pool.get("leaked_segments", []))
+                       pool_workers_killed=pool.get("workers_killed", 0))
         else:
             _log.info("server.shutdown_clean",
                       batcher_workers_joined=batcher.get(

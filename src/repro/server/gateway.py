@@ -87,11 +87,11 @@ class Gateway:
     exec_tier:
         ``"thread"`` (default) scores in-process; ``"process"`` forks a
         :class:`repro.pool.ProcessPool` of ``worker_procs`` scoring
-        processes over a shared-memory copy of the active checkpoint and
-        makes it ``service``'s executor — distinct-fingerprint passes
+        processes, each loading its own copy of the active checkpoint,
+        and makes it ``service``'s executor — distinct-fingerprint passes
         then run in true parallel. Falls back to the thread tier
         (recorded in ``pool_fallback_reason`` and the startup log) when
-        shared memory is unavailable or the pool cannot start.
+        the workers cannot be started.
     worker_procs:
         Scoring processes for the process tier (ignored for threads).
     request_timeout:
@@ -514,14 +514,14 @@ class Gateway:
             # Retarget the scoring processes *before* the service swaps:
             # a pass dispatched after the service's generation bump then
             # cannot run on the old weights and be cached as the new
-            # model's. Old segments stay readable until the last in-flight
-            # batch drains (generation refcounting).
+            # model's. Each worker reloads under its dispatch lock, so a
+            # batch in flight finishes on the weights it started with.
             try:
                 pool_reply["pool_generation"] = \
                     self.pool.publish_detector(detector)
             except Exception as exc:  # noqa: BLE001 - degraded, not fatal
-                # A worker that missed the reload is respawned against the
-                # new manifest by the pool itself. Surface the partial swap
+                # A worker that missed the reload is respawned from the
+                # new payload by the pool itself. Surface the partial swap
                 # instead of failing the activation.
                 pool_reply["pool_error"] = str(exc)
         epochs, seconds = self.service.replace_detector(detector)
@@ -635,8 +635,8 @@ class Gateway:
         """Shut everything down; returns the aggregated shutdown report.
 
         The report carries what did *not* die cleanly — leaked batcher
-        threads, killed worker processes, leaked shm segments — so the
-        app/CLI layer can log a dirty shutdown instead of dropping it.
+        threads, killed worker processes — so the app/CLI layer can log
+        a dirty shutdown instead of dropping it.
         """
         report: Dict[str, dict] = {"batcher": self.batcher.close()}
         if self.pool is not None:

@@ -2,10 +2,9 @@
 
 A :class:`~repro.server.Gateway` is built with every component live (a
 stream monitor over a WAL, a tripped breaker, a fired chaos point, SLO
-samples, endpoint and stage histograms, and — where POSIX shared memory
-exists — the process tier). Its ``/metrics`` families (name, type, HELP,
-label names) and the key set of every ``/healthz?deep=1`` component must
-equal ``tests/fixtures/metrics_surface.json``: a refactor of how the
+samples, endpoint and stage histograms, and the process tier). Its
+``/metrics`` families (name, type, HELP, label names) and the key set of
+every ``/healthz?deep=1`` component must equal ``tests/fixtures/metrics_surface.json``: a refactor of how the
 gateway collects its telemetry must not rename, retype, re-document or
 drop anything a scraper or a health probe reads.
 """
@@ -22,18 +21,13 @@ from repro import chaos
 from repro.graphs import random_multiplex
 from repro.obs import assert_valid_exposition
 from repro.obs.promlint import parse_families
-from repro.pool import shm_available
 from repro.serve import DetectorService
 from repro.server import Gateway
 from repro.server.protocol import graph_payload
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "metrics_surface.json"
 
-TIERS = [
-    "thread",
-    pytest.param("process", marks=pytest.mark.skipif(
-        not shm_available(), reason="POSIX shared memory unavailable")),
-]
+TIERS = ["thread", "process"]
 
 
 def family_surface(text: str) -> list:

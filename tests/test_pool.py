@@ -1,28 +1,21 @@
-"""Process-pool execution tier: shm lifecycle, parity, crash rescue.
+"""Process-pool execution tier: parity, crash rescue, hot swap, fallback.
 
-The contracts under test (ISSUE PR 10):
+The contracts under test:
 
-* :class:`repro.pool.SharedCheckpoint` — publish/attach round-trips every
-  payload array zero-copy and read-only; close/unlink leave nothing in
-  ``/dev/shm``.
-* :class:`repro.pool.SharedModelStore` — a hot swap retires the old
-  generation but keeps its segments **attachable until the last in-flight
-  reference drains**; the drain unlinks them.
-* :func:`repro.pool.reclaim_stale_segments` — startup unlinks segments
-  whose embedded owner pid is dead, and leaves live owners' segments
-  alone.
 * :class:`repro.pool.ProcessPool` — bitwise parity with the thread tier,
-  SIGKILLed workers are respawned with zero requests lost and zero
-  leaked segments, shutdown reports what did not die cleanly.
+  SIGKILLed workers are respawned (from the newest checkpoint) with zero
+  requests lost, a batch goes to an idle worker, a hot swap retargets
+  every worker, shutdown reports what did not die cleanly.
 * Gateway integration — ``exec_tier="process"`` end to end: HTTP parity,
   ``pool_*`` metrics, deep health, activate hot-swap, automatic thread
-  fallback when shm is unavailable.
+  fallback when the workers cannot be started.
 """
 
 import os
 import signal
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -30,240 +23,9 @@ import pytest
 from repro.core import UMGAD, UMGADConfig
 from repro.graphs import random_multiplex
 from repro.graphs.io import graph_fingerprint
-from repro.pool import (
-    PoolUnavailable,
-    ProcessPool,
-    SharedCheckpoint,
-    SharedMemoryError,
-    SharedModelStore,
-    list_segments,
-    reclaim_stale_segments,
-    segment_name,
-    shm_available,
-)
-from repro.serve.checkpoint import checkpoint_payload
+from repro.pool import PoolUnavailable, ProcessPool
 from repro.serve.service import DetectorService
 from repro.server.batcher import MicroBatcher
-
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable")
-
-
-def _tiny_payload():
-    header = {"detector": "Fake", "checksum": "n/a"}
-    payload = {
-        "array::a": np.arange(12, dtype=np.float64).reshape(3, 4),
-        "array::b": np.array([True, False, True]),
-        "array::empty": np.empty((0, 2), dtype=np.int64),
-    }
-    return header, payload
-
-
-# ---------------------------------------------------------------------------
-# SharedCheckpoint
-# ---------------------------------------------------------------------------
-
-class TestSharedCheckpoint:
-    def test_publish_attach_roundtrip(self):
-        header, payload = _tiny_payload()
-        published = SharedCheckpoint.publish(header, payload, generation=1)
-        try:
-            attached = SharedCheckpoint.attach(published.manifest)
-            try:
-                for name, value in payload.items():
-                    np.testing.assert_array_equal(attached.arrays()[name],
-                                                  value)
-                assert attached.generation == 1
-                assert attached.header["detector"] == "Fake"
-                assert attached.num_segments == len(payload)
-            finally:
-                attached.close()
-        finally:
-            published.unlink()
-
-    def test_views_are_read_only(self):
-        header, payload = _tiny_payload()
-        published = SharedCheckpoint.publish(header, payload, generation=1)
-        try:
-            attached = SharedCheckpoint.attach(published.manifest)
-            try:
-                with pytest.raises(ValueError):
-                    attached.arrays()["array::a"][0, 0] = 99.0
-                with pytest.raises(ValueError):
-                    published.arrays()["array::a"][0, 0] = 99.0
-            finally:
-                attached.close()
-        finally:
-            published.unlink()
-
-    def test_attach_is_zero_copy(self):
-        """Attached views alias the shm buffer — no private copy."""
-        header, payload = _tiny_payload()
-        published = SharedCheckpoint.publish(header, payload, generation=1)
-        try:
-            attached = SharedCheckpoint.attach(published.manifest)
-            try:
-                view = attached.arrays()["array::a"]
-                assert view.base is not None  # borrows the segment buffer
-            finally:
-                attached.close()
-        finally:
-            published.unlink()
-
-    def test_unlink_removes_segments(self):
-        header, payload = _tiny_payload()
-        published = SharedCheckpoint.publish(header, payload, generation=7)
-        names = [entry["segment"]
-                 for entry in published.manifest["arrays"].values()]
-        assert all(name in list_segments() for name in names)
-        published.unlink()
-        remaining = list_segments()
-        assert not any(name in remaining for name in names)
-
-    def test_only_owner_unlinks(self):
-        header, payload = _tiny_payload()
-        published = SharedCheckpoint.publish(header, payload, generation=1)
-        try:
-            attached = SharedCheckpoint.attach(published.manifest)
-            with pytest.raises(SharedMemoryError):
-                attached.unlink()
-            attached.close()
-        finally:
-            published.unlink()
-
-    def test_attach_missing_segment_fails(self):
-        manifest = {
-            "prefix": "repro-pool", "pid": os.getpid(), "generation": 1,
-            "header": {},
-            "arrays": {"x": {"segment": segment_name(os.getpid(), 999, 0),
-                             "dtype": "float64", "shape": [2]}},
-        }
-        with pytest.raises(SharedMemoryError):
-            SharedCheckpoint.attach(manifest)
-
-    def test_arrays_after_close_fail(self):
-        header, payload = _tiny_payload()
-        published = SharedCheckpoint.publish(header, payload, generation=1)
-        manifest = published.manifest
-        attached = SharedCheckpoint.attach(manifest)
-        attached.close()
-        with pytest.raises(SharedMemoryError):
-            attached.arrays()
-        published.unlink()
-
-
-# ---------------------------------------------------------------------------
-# SharedModelStore: hot-swap generation refcounting
-# ---------------------------------------------------------------------------
-
-class TestSharedModelStore:
-    def test_hot_swap_keeps_old_generation_until_drained(self):
-        """A mid-flight batch pins the old generation across a swap."""
-        store = SharedModelStore()
-        try:
-            header, payload = _tiny_payload()
-            store.publish(header, payload)
-            old_manifest = store.manifest()
-            held = store.acquire()          # an in-flight batch
-            assert held == 1
-
-            header2, payload2 = _tiny_payload()
-            store.publish(header2, payload2)
-            assert store.current_generation == 2
-            # Old generation retired but still attachable: its segments
-            # must stay readable until the in-flight reference drains.
-            assert store.generations_live == 2
-            attached = SharedCheckpoint.attach(old_manifest)
-            np.testing.assert_array_equal(
-                attached.arrays()["array::a"], payload["array::a"])
-            attached.close()
-
-            store.release(held)             # the batch drains
-            assert store.generations_live == 1
-            with pytest.raises(SharedMemoryError):
-                SharedCheckpoint.attach(old_manifest)
-        finally:
-            store.close()
-
-    def test_swap_with_no_refs_unlinks_immediately(self):
-        store = SharedModelStore()
-        try:
-            header, payload = _tiny_payload()
-            store.publish(header, payload)
-            old_manifest = store.manifest()
-            store.publish(*_tiny_payload())
-            assert store.generations_live == 1
-            with pytest.raises(SharedMemoryError):
-                SharedCheckpoint.attach(old_manifest)
-        finally:
-            store.close()
-
-    def test_acquire_dead_generation_fails(self):
-        store = SharedModelStore()
-        try:
-            store.publish(*_tiny_payload())
-            with pytest.raises(SharedMemoryError):
-                store.acquire(42)
-        finally:
-            store.close()
-
-    def test_close_unlinks_everything(self):
-        store = SharedModelStore()
-        store.publish(*_tiny_payload())
-        names = [entry["segment"]
-                 for entry in store.manifest()["arrays"].values()]
-        store.close()
-        remaining = list_segments()
-        assert not any(name in remaining for name in names)
-
-    def test_stats_shape(self):
-        store = SharedModelStore()
-        try:
-            store.publish(*_tiny_payload())
-            stats = store.stats()
-            assert stats["generation"] == 1
-            assert stats["generations_live"] == 1
-            assert stats["segments"] == 3
-            assert stats["bytes"] > 0
-            assert stats["refs"] == 0
-        finally:
-            store.close()
-
-
-# ---------------------------------------------------------------------------
-# Stale-segment reclamation at startup
-# ---------------------------------------------------------------------------
-
-class TestReclaimStaleSegments:
-    def _dead_pid(self):
-        """A pid that is certainly not running (freshly exited child)."""
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0)
-        os.waitpid(pid, 0)
-        return pid
-
-    def test_dead_owner_segments_reclaimed(self):
-        from multiprocessing import shared_memory
-        dead = self._dead_pid()
-        name = segment_name(dead, 1, 0)
-        segment = shared_memory.SharedMemory(name=name, create=True, size=16)
-        segment.close()
-        assert name in list_segments()
-        reclaimed = reclaim_stale_segments()
-        assert name in reclaimed
-        assert name not in list_segments()
-
-    def test_live_owner_segments_kept(self):
-        header, payload = _tiny_payload()
-        published = SharedCheckpoint.publish(header, payload, generation=1)
-        try:
-            assert reclaim_stale_segments() == []
-            names = [entry["segment"]
-                     for entry in published.manifest["arrays"].values()]
-            assert all(name in list_segments() for name in names)
-        finally:
-            published.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +82,43 @@ class TestProcessPool:
         assert all(infos[wid]["pid"] != pid for wid, pid in before.items())
         assert pool.stats()["worker_deaths"] >= 2
 
-    def test_sigkill_leaks_no_segments(self, pool_model, tiny_dataset):
-        pool = ProcessPool(pool_model, workers=2)
-        mine = f"-{os.getpid()}-"
+    def test_sigkilled_worker_respawns_on_new_generation(self, pool,
+                                                         tiny_dataset):
+        graph = tiny_dataset.graph
+        replacement = UMGAD(UMGADConfig(epochs=2, mask_repeats=1,
+                                        hidden_dim=16, seed=9)
+                            ).fit(graph)
+        assert pool.publish_detector(replacement) == 2
+        for info in pool.worker_infos():
+            os.kill(info["pid"], signal.SIGKILL)
+        # whichever worker answers was respawned after the swap: it must
+        # run the new detector, not the one the pool started with
+        got = pool.score(graph, graph_fingerprint(graph))
+        np.testing.assert_array_equal(got, replacement.score_graph(graph))
+
+    def test_busy_worker_is_skipped(self, pool, pool_model):
+        rng = np.random.default_rng(21)
+        while True:  # a graph crc32 would have routed to worker 0
+            graph = random_multiplex(40, 3, 16, rng, avg_degree=4.0)
+            fingerprint = graph_fingerprint(graph)
+            if zlib.crc32(fingerprint.encode()) % pool.size == 0:
+                break
+        results = []
+        busy = pool._workers[0].lock
+        busy.acquire()
         try:
-            os.kill(pool.worker_infos()[0]["pid"], signal.SIGKILL)
-            time.sleep(0.1)
+            thread = threading.Thread(
+                target=lambda: results.append(pool.score(graph, fingerprint)))
+            thread.start()
+            thread.join(timeout=30.0)
+            answered = not thread.is_alive()
         finally:
-            report = pool.close()
-        assert report["leaked_segments"] == []
-        assert not any(mine in name for name in list_segments())
+            busy.release()
+            thread.join(timeout=60.0)
+        assert answered, "batch waited on the busy worker"
+        np.testing.assert_array_equal(results[0],
+                                      pool_model.score_graph(graph))
+        assert [info["requests"] for info in pool.worker_infos()] == [0, 1]
 
     def test_hot_swap_changes_scores(self, pool, tiny_dataset):
         graph = tiny_dataset.graph
@@ -361,7 +150,6 @@ class TestProcessPool:
         report = pool.close()
         assert report["workers_stopped"] == 1
         assert report["workers_killed"] == 0
-        assert report["leaked_segments"] == []
         again = pool.close()
         assert again["workers_stopped"] == 0
         with pytest.raises(PoolUnavailable):
@@ -495,15 +283,15 @@ class TestGatewayProcessTier:
             assert health["exec_tier"] == "process"
             pool_health = health["components"]["pool"]
             assert pool_health["workers_alive"] == 2
-            assert pool_health["shm_bytes"] > 0
+            assert pool_health["generation"] == 1
             metrics = client.metrics()
             for family in ("repro_pool_workers_alive",
                            "repro_pool_dispatches_total",
-                           "repro_pool_shm_bytes",
+                           "repro_pool_generation",
                            "repro_pool_worker_resident_memory_bytes"):
                 assert family in metrics
             report = server.stop()
-        assert report["pool"]["leaked_segments"] == []
+        assert report["pool"]["workers_killed"] == 0
         assert report["batcher"]["leaked_workers"] == []
 
     def test_activate_bumps_pool_generation(self, pool_model, tiny_dataset,
@@ -545,19 +333,22 @@ class TestGatewayProcessTier:
         finally:
             gateway.close()
 
-    def test_fallback_to_threads_when_shm_unavailable(self, pool_model,
-                                                      monkeypatch):
+    def test_fallback_to_threads_when_spawn_fails(self, pool_model,
+                                                  monkeypatch):
         import repro.pool.executor as executor_module
         from repro.server import Gateway
 
-        monkeypatch.setattr(executor_module, "shm_available", lambda: False)
+        # a worker that dies before its "ready" handshake
+        monkeypatch.setattr(executor_module, "worker_main",
+                            lambda *args: os._exit(1))
         service = DetectorService(pool_model, cache_size=8)
         gateway = Gateway(service, exec_tier="process", worker_procs=2,
                           sample_interval=60.0)
         try:
             assert gateway.exec_tier == "thread"
             assert gateway.pool is None
-            assert "shared memory" in gateway.pool_fallback_reason
+            assert service.executor is None
+            assert "worker 0" in gateway.pool_fallback_reason
             health = gateway.health(deep=True)
             assert health["exec_tier"] == "thread"
             assert health["components"]["pool"]["fallback"] == "thread"
