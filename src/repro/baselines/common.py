@@ -126,20 +126,6 @@ def train_detector(model: Module, loss_fn: Callable, epochs: int, lr: float,
     return trainer.fit(graph, loss_fn, epochs)
 
 
-def train_model(model: Module, loss_fn: Callable[[], Tensor], epochs: int,
-                lr: float, grad_clip: float = 5.0,
-                weight_decay: float = 0.0, **engine_kwargs) -> List[float]:
-    """Generic training loop used by every learned baseline.
-
-    Thin wrapper over :func:`train_detector` (the shared
-    :class:`repro.engine.Trainer`) that returns just the loss history, which
-    is what the historical call sites consumed.
-    """
-    return train_detector(model, loss_fn, epochs, lr, grad_clip=grad_clip,
-                          weight_decay=weight_decay,
-                          **engine_kwargs).loss_history
-
-
 # ---------------------------------------------------------------------------
 # Reconstruction losses / scores (shared by the GAE family)
 # ---------------------------------------------------------------------------

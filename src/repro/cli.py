@@ -8,7 +8,6 @@ Subcommands::
         --batch-size 512 --dtype float32
     python -m repro.cli save --dataset retail --out model.npz
     python -m repro.cli score --model model.npz --graph my_graph.npz
-    python -m repro.cli serve-bench --model model.npz --graph my_graph.npz
     python -m repro.cli serve --model model.npz --port 8765
     python -m repro.cli serve --registry models/ --activate retail-v1
     python -m repro.cli stream --events events.jsonl --model model.npz --window 500
@@ -20,16 +19,15 @@ Subcommands::
 archive, prints the label-free threshold decision and (when labels exist)
 AUC / Macro-F1; ``--save`` checkpoints the fitted model. ``save`` is the
 train-once entry point (fit + checkpoint, nothing else). ``score`` answers
-from a checkpoint without retraining, ``serve-bench`` measures cold-load vs
-warm-cache serving latency, ``stream`` replays a JSONL event log through
-the online monitor (one report per window; with ``--output json``, one
-JSON object per line), ``serve`` runs the HTTP serving gateway
+from a checkpoint without retraining, ``stream`` replays a JSONL event log
+through the online monitor (one report per window; with ``--output
+json``, one JSON object per line), ``serve`` runs the HTTP serving gateway
 (:mod:`repro.server`: micro-batched ``/v1/score``, ``/v1/events``,
 model hot-swap, Prometheus ``/metrics``), ``trace`` pretty-prints the
 span trees a running server publishes at ``GET /v1/traces``,
 and ``experiment`` regenerates one paper table/figure. The repository's
 benchmark harness is ``perfbench/run.py``, not a subcommand.
-``detect``/``score``/``serve-bench`` take ``--output json`` for
+``detect``/``save``/``score``/``stream``/``trace`` take ``--output json`` for
 machine-readable results.
 
 ``REPRO_PROFILE=1`` wraps ``detect``/``score``/``experiment`` in a trace
@@ -146,15 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dtype_arg(score)
     _add_output_arg(score)
 
-    bench = sub.add_parser(
-        "serve-bench", help="measure cold vs warm serving latency")
-    bench.add_argument("--model", required=True, help="checkpoint to serve")
-    _add_source_args(bench)
-    bench.add_argument("--requests", type=int, default=20,
-                       help="warm-cache requests to average over")
-    _add_dtype_arg(bench)
-    _add_output_arg(bench)
-
     serve = sub.add_parser(
         "serve", help="run the HTTP serving gateway (repro.server)")
     serve.add_argument("--model",
@@ -209,9 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slo-sustain", type=int, default=2,
                        help="consecutive violating windows before /healthz "
                             "turns 503")
-    serve.add_argument("--sample-interval", type=float, default=5.0,
-                       help="seconds between background runtime-telemetry "
-                            "samples")
     serve.add_argument("--wal-dir", default=None,
                        help="write-ahead-log directory for /v1/events; "
                             "stream state is durably logged and recovered "
@@ -445,17 +431,6 @@ def _run_score(args) -> int:
     return 0
 
 
-def _run_serve_bench(args) -> int:
-    from .serve import run_serve_bench
-
-    graph, _labels, source = _load_source(args)
-    result = run_serve_bench(args.model, graph, requests=args.requests,
-                             match_dtype=False)
-    payload = {"source": source, "model": args.model, **result.to_dict()}
-    _emit(args, payload, result.render())
-    return 0
-
-
 def _run_stream(args) -> int:
     import itertools
 
@@ -581,7 +556,6 @@ def _run_serve(args) -> int:
                       slo_p99_seconds=args.slo_p99_seconds,
                       slo_error_ratio=args.slo_error_ratio,
                       slo_sustain=args.slo_sustain,
-                      sample_interval=args.sample_interval,
                       wal_dir=args.wal_dir,
                       snapshot_every=args.snapshot_every,
                       exec_tier=args.exec_tier,
@@ -677,7 +651,7 @@ def _dispatch_command(args) -> int:
         return _run_detect(args)
     if args.command == "save":
         return _run_save(args)
-    if args.command in ("score", "serve-bench", "stream", "serve"):
+    if args.command in ("score", "stream", "serve"):
         # Serving commands run against user-supplied artifacts; turn the
         # operational failure modes (bad checkpoint, wrong graph, bad
         # event log, bad node) into one-line errors instead of tracebacks.
@@ -691,9 +665,7 @@ def _dispatch_command(args) -> int:
                 return _run_score(args)
             if args.command == "stream":
                 return _run_stream(args)
-            if args.command == "serve":
-                return _run_serve(args)
-            return _run_serve_bench(args)
+            return _run_serve(args)
         except (CheckpointError, ServiceError, WalCorruptionError,
                 FileNotFoundError, ValueError, IndexError, KeyError) as exc:
             # KeyError's str() wraps the message in quotes; everything

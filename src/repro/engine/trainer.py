@@ -2,11 +2,12 @@
 
 Historically the repo had two divergent training loops — ``UMGAD.fit``'s
 inline loop (early stopping, grad clipping, loss components, per-epoch
-timing) and the baselines' bare ``train_model`` (none of that). The
-:class:`Trainer` consolidates them: one epoch/batch loop, pluggable
-:class:`~repro.engine.batching.BatchStrategy`, and :class:`Callback` hooks
-for gradient clipping, early stopping, learning-rate schedules and
-progress logging. Telemetry (loss history, per-component losses, epoch
+timing) and a bare loop the baselines shared (none of that). The
+:class:`Trainer` consolidates them, and the baselines reach it through
+:func:`repro.baselines.common.train_detector`: one epoch/batch loop, a
+pluggable :class:`~repro.engine.batching.BatchStrategy`, and
+:class:`Callback` hooks for gradient clipping, early stopping,
+learning-rate schedules and progress logging. Telemetry (loss history, per-component losses, epoch
 timings, stop reason) accumulates in a :class:`TrainState` that callers
 keep — serving refits report it, experiments plot it.
 

@@ -15,9 +15,9 @@ layer:
   :func:`parse_families` reader;
 * :mod:`repro.obs.profile` — per-stage cost tables (``REPRO_PROFILE=1``)
   and span-tree rendering (``repro trace``);
-* :mod:`repro.obs.runtime` — process telemetry (RSS, GC, threads, FDs)
-  and the low-overhead background :class:`RuntimeSampler` feeding
-  ``/metrics``.
+* :mod:`repro.obs.runtime` — process telemetry (RSS, GC, threads, FDs,
+  a worker's private memory), read fresh by each ``/metrics`` scrape
+  and deep health probe.
 
 Environment switches: ``REPRO_TRACE=0`` disables tracing process-wide,
 ``REPRO_PROFILE=1`` prints the CLI cost table, ``REPRO_LOG=<path>`` /
@@ -38,13 +38,7 @@ from .promlint import (
     parse_families,
     validate_exposition,
 )
-from .runtime import (
-    RuntimeSample,
-    RuntimeSampler,
-    capture_sample,
-    peak_rss_bytes,
-    rss_bytes,
-)
+from .runtime import peak_rss_bytes, rss_bytes
 from .trace import (
     NOOP_SPAN,
     Span,
@@ -68,8 +62,6 @@ __all__ = [
     "Histogram",
     "HistogramSnapshot",
     "NOOP_SPAN",
-    "RuntimeSample",
-    "RuntimeSampler",
     "Span",
     "StructLogger",
     "Trace",
@@ -77,7 +69,6 @@ __all__ = [
     "aggregate_spans",
     "annotate",
     "assert_valid_exposition",
-    "capture_sample",
     "configure",
     "current_span",
     "current_trace",

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 import threading
 import time
 from typing import List, Optional
@@ -43,6 +42,7 @@ import numpy as np
 from .. import chaos
 from ..graphs.multiplex import MultiplexGraph
 from ..obs.metrics import Collected, dict_families, family
+from ..obs.runtime import private_memory_bytes
 from ..obs.trace import span
 from ..serve.checkpoint import checkpoint_payload
 from .worker import encode_graph, rebuild_error, worker_main
@@ -95,16 +95,10 @@ class _Worker:
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
 
-    def rss_bytes(self) -> int:
-        """Resident set size of the worker process (Linux; 0 elsewhere)."""
-        if not self.alive:
-            return 0
-        try:
-            with open(f"/proc/{self.process.pid}/statm") as fh:
-                fields = fh.read().split()
-            return int(fields[1]) * os.sysconf("SC_PAGE_SIZE")
-        except (OSError, IndexError, ValueError):
-            return 0
+    def private_bytes(self) -> Optional[int]:
+        """Memory the worker does not share with the leader (``None``
+        when it is dead or the probe cannot be answered)."""
+        return private_memory_bytes(self.process.pid) if self.alive else None
 
 
 #: (stats() key, family, kind, HELP) of the pool-level families
@@ -131,8 +125,9 @@ _WORKER_FAMILIES = (
      "Batches answered, by worker process."),
     ("respawns", "pool_worker_respawns_total", "counter",
      "Times the worker slot was respawned, by worker."),
-    ("rss_bytes", "pool_worker_resident_memory_bytes", "gauge",
-     "Resident set size of the scoring worker, by worker."),
+    ("private_bytes", "pool_worker_private_memory_bytes", "gauge",
+     "Memory the scoring worker does not share with the leader "
+     "(smaps_rollup Private_Clean + Private_Dirty), by worker."),
 )
 
 
@@ -386,8 +381,8 @@ class ProcessPool:
         return self._checkpoint[0]
 
     def worker_infos(self) -> List[dict]:
-        """Per-worker liveness/throughput/memory snapshot (for /healthz
-        deep mode, ``pool_*`` metrics and the runtime sampler)."""
+        """Per-worker liveness/throughput/memory snapshot, read fresh
+        (for ``/healthz`` deep mode and the ``pool_*`` metrics)."""
         infos = []
         for worker in self._workers:
             infos.append({
@@ -398,7 +393,7 @@ class ProcessPool:
                 "errors": worker.errors,
                 "respawns": worker.respawns,
                 "generation": worker.generation,
-                "rss_bytes": worker.rss_bytes(),
+                "private_bytes": worker.private_bytes(),
             })
         return infos
 
@@ -418,11 +413,12 @@ class ProcessPool:
         :meth:`worker_infos` are the deep-health entry."""
         stats, infos = self.stats(), self.worker_infos()
         families = dict_families(stats, _POOL_FAMILIES)
-        if infos:
-            families += [family(name, kind, help_text,
-                                [({"worker": str(info["worker"])},
-                                  int(info[key])) for info in infos])
-                         for key, name, kind, help_text in _WORKER_FAMILIES]
+        for key, name, kind, help_text in _WORKER_FAMILIES:
+            # a worker whose probe cannot be answered omits its series
+            series = [({"worker": str(info["worker"])}, int(info[key]))
+                      for info in infos if info[key] is not None]
+            if series:
+                families.append(family(name, kind, help_text, series))
         return Collected(families, {**stats, "worker_infos": infos})
 
     def ping(self) -> List[dict]:

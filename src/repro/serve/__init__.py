@@ -7,11 +7,9 @@ Turns fitted detectors into long-lived, queryable artifacts:
 * :mod:`repro.serve.service` — :class:`DetectorService`, load-once /
   score-many with an LRU cache keyed by graph fingerprint;
 * :mod:`repro.serve.registry` — :class:`ModelRegistry`, named checkpoints
-  on disk;
-* :mod:`repro.serve.bench` — cold-vs-warm serving latency measurement.
+  on disk.
 """
 
-from .bench import ServeBenchResult, run_serve_bench
 from .checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
@@ -31,7 +29,6 @@ __all__ = [
     "DetectorService",
     "ModelInfo",
     "ModelRegistry",
-    "ServeBenchResult",
     "ServiceError",
     "ServiceStats",
     "checkpoint_payload",
@@ -39,6 +36,5 @@ __all__ = [
     "detector_from_payload",
     "load_checkpoint",
     "read_header",
-    "run_serve_bench",
     "save_checkpoint",
 ]

@@ -75,7 +75,7 @@ class ServiceStats:
         return self.hits / self.requests if self.requests else 0.0
 
     def to_dict(self) -> dict:
-        """JSON-able cache telemetry (serve-bench / stream reports)."""
+        """JSON-able cache telemetry (perfbench, examples)."""
         return {**asdict(self), "requests": self.requests,
                 "hit_rate": self.hit_rate}
 

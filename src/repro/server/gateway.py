@@ -27,7 +27,7 @@ from ..graphs.multiplex import MultiplexGraph
 from ..obs.hist import DURATION_BOUNDS, Histogram
 from ..obs.metrics import (Collected, counter, family, gauge, histogram,
                            render)
-from ..obs.runtime import RuntimeSampler
+from ..obs import runtime
 from ..obs.trace import TraceStore, annotate, span
 from ..serve.registry import ModelRegistry
 from ..serve.service import DetectorService, ServiceError
@@ -103,9 +103,6 @@ class Gateway:
         The per-endpoint SLO: tumbling windows of ``slo_window`` requests
         are judged against the p99/error objectives; ``slo_sustain``
         consecutive violating windows flip ``/healthz`` to 503.
-    sample_interval:
-        Seconds between background process-telemetry samples (RSS, GC,
-        FDs) feeding ``/metrics`` and ``/healthz?deep=1``.
     """
 
     def __init__(self, service: DetectorService, *,
@@ -120,7 +117,6 @@ class Gateway:
                  jump_sigma: float = 6.0, trace_capacity: int = 128,
                  slo_window: int = 100, slo_p99_seconds: float = 2.5,
                  slo_error_ratio: float = 0.02, slo_sustain: int = 2,
-                 sample_interval: float = 5.0,
                  wal_dir=None, snapshot_every: int = 10,
                  wal_fsync: bool = True,
                  breaker_failures: int = 3,
@@ -134,7 +130,7 @@ class Gateway:
             raise ValueError(
                 f"exec_tier must be 'thread' or 'process', got {exec_tier!r}")
         # The pool must exist before ANY thread this constructor starts
-        # (batcher workers, runtime sampler): the default start method is
+        # (the batcher's workers and watchdog): the default start method is
         # fork, and forking a multi-threaded process is where the dragons
         # live. Pool startup failure is a degradation, not an error — the
         # thread tier serves every request the process tier would.
@@ -187,12 +183,6 @@ class Gateway:
         #: degraded-mode answer while a breaker is open
         self._stale_scores: "OrderedDict[str, object]" = OrderedDict()
         self._degraded_served = 0
-        #: background process-telemetry sampler (RSS/GC/threads/FDs, plus
-        #: per-worker pool probes when the process tier is active)
-        self.sampler = RuntimeSampler(
-            interval=sample_interval,
-            pool_probe=self.pool.worker_infos if self.pool is not None
-            else None).start()
         self._started = time.monotonic()
         if wal_dir is not None:
             # Recover stream state at startup, not on the first request:
@@ -543,7 +533,7 @@ class Gateway:
         collected = {
             "service": self.service.collect(graphs=(self._base_graph,)),
             "batcher": self.batcher.collect(),
-            "runtime": self.sampler.collect(),
+            "runtime": runtime.collect(),
             "slo": self.slo.collect(),
             "breaker": self.breaker.collect(),
         }
@@ -642,7 +632,6 @@ class Gateway:
         if self.pool is not None:
             self.service.executor = None
             report["pool"] = self.pool.close()
-        self.sampler.close()
         monitor = self.monitor
         if monitor is not None and monitor.wal is not None:
             # A clean shutdown checkpoints the stream state: restart

@@ -1,4 +1,7 @@
-"""Shared fixtures: RNGs, tiny graphs, and a tiny fitted UMGAD model."""
+"""Shared fixtures: RNGs, tiny graphs, a tiny fitted UMGAD model, and the
+seeded example generator the property tests loop over."""
+
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +14,22 @@ from repro.graphs import MultiplexGraph, RelationGraph, random_multiplex
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def int_examples():
+    """``int_examples(count, (lo, hi), ...)`` yields ``count`` tuples, one
+    integer per inclusive ``[lo, hi]`` range. The first tuple holds every
+    lower bound and the second every upper bound, so the edges of each
+    range are always tried; the rest are drawn from a fixed seed, so a
+    failure names an example that reproduces on every run."""
+    def examples(count, *bounds, seed=0):
+        draw = random.Random(seed)
+        yield tuple(lo for lo, _ in bounds)
+        yield tuple(hi for _, hi in bounds)
+        for _ in range(count - 2):
+            yield tuple(draw.randint(lo, hi) for lo, hi in bounds)
+    return examples
 
 
 @pytest.fixture

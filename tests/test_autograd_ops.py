@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor, check_gradients, ops
 
@@ -215,23 +214,21 @@ class TestIndexingScatter:
         assert 0.35 < (out > 0).mean() < 0.65
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 10_000))
-def test_matmul_grad_property(n, m, seed):
+def test_matmul_grad_property(int_examples):
     """Property: matmul gradients match finite differences for random sizes."""
-    a = arrays((n, m), seed)
-    b = arrays((m, n), seed + 1)
-    check_gradients(lambda x, y: ops.matmul(x, y), [a, b])
+    for n, m, seed in int_examples(25, (2, 6), (2, 6), (0, 10_000)):
+        a = arrays((n, m), seed)
+        b = arrays((m, n), seed + 1)
+        check_gradients(lambda x, y: ops.matmul(x, y), [a, b])
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 30), st.integers(1, 4), st.integers(0, 10_000))
-def test_segment_softmax_partition_property(n, cols, seed):
+def test_segment_softmax_partition_property(int_examples):
     """Property: per-segment attention always sums to one."""
-    rng = np.random.default_rng(seed)
-    seg = np.sort(rng.integers(0, 5, size=n))
-    scores = rng.normal(size=(n, cols))
-    out = ops.segment_softmax(Tensor(scores), seg, 5).data
-    for s in np.unique(seg):
-        np.testing.assert_allclose(out[seg == s].sum(axis=0), np.ones(cols),
-                                   rtol=1e-9)
+    for n, cols, seed in int_examples(25, (2, 30), (1, 4), (0, 10_000)):
+        rng = np.random.default_rng(seed)
+        seg = np.sort(rng.integers(0, 5, size=n))
+        scores = rng.normal(size=(n, cols))
+        out = ops.segment_softmax(Tensor(scores), seg, 5).data
+        for s in np.unique(seg):
+            np.testing.assert_allclose(out[seg == s].sum(axis=0),
+                                       np.ones(cols), rtol=1e-9)

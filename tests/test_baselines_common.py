@@ -17,7 +17,7 @@ from repro.baselines.common import (
     sigmoid,
     spectral_embedding,
     structure_bce_loss,
-    train_model,
+    train_detector,
     zscore,
 )
 from repro.graphs import RelationGraph
@@ -102,8 +102,8 @@ class TestLossesAndTraining:
         net = MLP([4, 8, 4], rng)
         x = Tensor(rng.normal(size=(20, 4)))
 
-        history = train_model(net, lambda: attribute_mse_loss(net(x), x),
-                              epochs=40, lr=1e-2)
+        history = train_detector(net, lambda: attribute_mse_loss(net(x), x),
+                                 epochs=40, lr=1e-2).loss_history
         assert len(history) == 40
         assert history[-1] < history[0]
 

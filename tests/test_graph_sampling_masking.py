@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.graphs import (
     RelationGraph,
@@ -70,16 +69,15 @@ class TestSampling:
         got = {tuple(e) for e in path_graph.edges[idx]}
         assert got == {(4, 5), (5, 6)}
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(4, 30), st.integers(2, 8), st.integers(0, 9999))
-    def test_rwr_size_bound_property(self, n, size, seed):
-        rng = np.random.default_rng(seed)
-        edges = rng.integers(0, n, size=(n * 2, 2))
-        g = RelationGraph(n, edges)
-        start = int(rng.integers(0, n))
-        nodes = random_walk_with_restart(g, start, size, rng)
-        assert nodes.size <= size or nodes.size == 1
-        assert start in nodes
+    def test_rwr_size_bound_property(self, int_examples):
+        for n, size, seed in int_examples(20, (4, 30), (2, 8), (0, 9999)):
+            rng = np.random.default_rng(seed)
+            edges = rng.integers(0, n, size=(n * 2, 2))
+            g = RelationGraph(n, edges)
+            start = int(rng.integers(0, n))
+            nodes = random_walk_with_restart(g, start, size, rng)
+            assert nodes.size <= size or nodes.size == 1
+            assert start in nodes
 
 
 class TestMasking:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.autograd import get_default_dtype, set_default_dtype
 from repro.graphs import (MultiplexGraph, RelationGraph, canonical_edges,
@@ -60,17 +59,16 @@ class TestCanonicalEdges:
         with pytest.raises(ValueError, match="relation 'buys'.*out of range"):
             RelationGraph(5, [[0, 9]], name="buys")
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 40), st.integers(0, 10_000))
-    def test_property_canonical(self, n, seed):
-        rng = np.random.default_rng(seed)
-        edges = rng.integers(0, n, size=(50, 2))
-        out = canonical_edges(edges, n)
-        if out.size:
-            assert np.all(out[:, 0] < out[:, 1])            # oriented
-            keys = out[:, 0] * n + out[:, 1]
-            assert len(np.unique(keys)) == len(keys)        # unique
-            assert np.all(np.diff(keys) > 0)                # sorted
+    def test_property_canonical(self, int_examples):
+        for n, seed in int_examples(30, (2, 40), (0, 10_000)):
+            rng = np.random.default_rng(seed)
+            edges = rng.integers(0, n, size=(50, 2))
+            out = canonical_edges(edges, n)
+            if out.size:
+                assert np.all(out[:, 0] < out[:, 1])            # oriented
+                keys = out[:, 0] * n + out[:, 1]
+                assert len(np.unique(keys)) == len(keys)        # unique
+                assert np.all(np.diff(keys) > 0)                # sorted
 
 
 class TestOperatorCachesByDtype:

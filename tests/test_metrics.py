@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.eval import (
     binary_f1,
@@ -43,28 +42,26 @@ class TestROCAUC:
         with pytest.raises(ValueError, match="mismatch"):
             roc_auc(np.zeros(4), np.zeros(5))
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_monotone_transform_invariance(self, seed):
+    def test_monotone_transform_invariance(self, int_examples):
         """Property: AUC depends only on the ranking of scores."""
-        rng = np.random.default_rng(seed)
-        labels = np.concatenate([np.zeros(10), np.ones(5)]).astype(int)
-        scores = rng.normal(size=15)
-        a1 = roc_auc(labels, scores)
-        a2 = roc_auc(labels, np.exp(2.0 * scores) + 7.0)
-        assert a1 == pytest.approx(a2, abs=1e-12)
+        for (seed,) in int_examples(30, (0, 10_000)):
+            rng = np.random.default_rng(seed)
+            labels = np.concatenate([np.zeros(10), np.ones(5)]).astype(int)
+            scores = rng.normal(size=15)
+            a1 = roc_auc(labels, scores)
+            a2 = roc_auc(labels, np.exp(2.0 * scores) + 7.0)
+            assert a1 == pytest.approx(a2, abs=1e-12)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_complement_property(self, seed):
+    def test_complement_property(self, int_examples):
         """Property: negating scores gives 1 - AUC."""
-        rng = np.random.default_rng(seed)
-        labels = (rng.random(40) < 0.3).astype(int)
-        if labels.sum() in (0, 40):
-            return
-        scores = rng.normal(size=40)
-        assert roc_auc(labels, scores) == pytest.approx(
-            1.0 - roc_auc(labels, -scores), abs=1e-12)
+        for (seed,) in int_examples(30, (0, 10_000)):
+            rng = np.random.default_rng(seed)
+            labels = (rng.random(40) < 0.3).astype(int)
+            if labels.sum() in (0, 40):
+                continue
+            scores = rng.normal(size=40)
+            assert roc_auc(labels, scores) == pytest.approx(
+                1.0 - roc_auc(labels, -scores), abs=1e-12)
 
 
 class TestF1:
@@ -121,8 +118,7 @@ class TestTopK:
     def test_topk_exceeds_n(self):
         assert predictions_from_topk(np.arange(4.0), 10).sum() == 4
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 30), st.integers(0, 10_000))
-    def test_topk_flags_exactly_k(self, k, seed):
-        scores = np.random.default_rng(seed).normal(size=50)
-        assert predictions_from_topk(scores, k).sum() == min(k, 50)
+    def test_topk_flags_exactly_k(self, int_examples):
+        for k, seed in int_examples(25, (1, 30), (0, 10_000)):
+            scores = np.random.default_rng(seed).normal(size=50)
+            assert predictions_from_topk(scores, k).sum() == min(k, 50)

@@ -19,7 +19,7 @@ import pytest
 
 from repro import chaos
 from repro.graphs import random_multiplex
-from repro.obs import assert_valid_exposition
+from repro.obs import assert_valid_exposition, runtime
 from repro.obs.promlint import parse_families
 from repro.serve import DetectorService
 from repro.server import Gateway
@@ -49,7 +49,7 @@ def live_gateway(model, base_graph, wal_dir, exec_tier: str) -> Gateway:
     """A gateway on which every metric family and health entry exists."""
     gateway = Gateway(DetectorService(model, cache_size=4),
                       base_graph=base_graph, wal_dir=wal_dir, window=4,
-                      linger_ms=0.0, sample_interval=60.0, slo_window=2,
+                      linger_ms=0.0, slo_window=2,
                       breaker_failures=1, exec_tier=exec_tier,
                       worker_procs=1)
     try:
@@ -100,8 +100,8 @@ def test_metrics_and_deep_health_surface_is_pinned(surface_gateway):
 def test_one_read_per_scrape_and_per_deep_probe(surface_gateway,
                                                 monkeypatch):
     """Each component's state is read once per ``metrics_text()`` and once
-    per ``health(deep=True)``. The runtime entry always reads the
-    sampler's ``latest()`` sample and never forces a ``refresh()``."""
+    per ``health(deep=True)``. The runtime entry takes one fresh
+    ``capture_sample()`` per read; nothing samples in between."""
     tier, gateway = surface_gateway
     reads = collections.Counter()
 
@@ -120,13 +120,12 @@ def test_one_read_per_scrape_and_per_deep_probe(surface_gateway,
     calls = itertools.count(1)
     spy(gateway.service, "cache_info",
         lambda info: dict(info, entries=100 * next(calls)))
-    spy(gateway.sampler, "latest")
-    spy(gateway.sampler, "refresh")
+    spy(runtime, "capture_sample")
     spy(gateway.breaker, "snapshot")
     spy(gateway.slo, "_read")
     spy(gateway.monitor, "stats_dict")
-    expected = {"cache_info": 1, "latest": 1, "snapshot": 1, "_read": 1,
-                "stats_dict": 1}
+    expected = {"cache_info": 1, "capture_sample": 1, "snapshot": 1,
+                "_read": 1, "stats_dict": 1}
     if tier == "process":
         spy(gateway.pool, "stats")
         spy(gateway.pool, "worker_infos")

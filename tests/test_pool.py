@@ -96,6 +96,17 @@ class TestProcessPool:
         got = pool.score(graph, graph_fingerprint(graph))
         np.testing.assert_array_equal(got, replacement.score_graph(graph))
 
+    def test_worker_memory_leaves_out_shared_pages(self, pool):
+        # A forked worker still shares most of its resident pages with the
+        # leader; the per-worker memory is only what it does not share.
+        for info in pool.worker_infos():
+            if info["private_bytes"] is None:
+                pytest.skip("/proc/<pid>/smaps_rollup is unreadable here")
+            with open(f"/proc/{info['pid']}/statm", "rb") as handle:
+                resident = int(handle.read().split()[1]) * os.sysconf(
+                    "SC_PAGE_SIZE")
+            assert 0 < info["private_bytes"] < resident
+
     def test_busy_worker_is_skipped(self, pool, pool_model):
         rng = np.random.default_rng(21)
         while True:  # a graph crc32 would have routed to worker 0
@@ -228,8 +239,7 @@ class TestGatewayProcessTier:
     def gateway(self, pool_model):
         from repro.server import Gateway
         service = DetectorService(pool_model, cache_size=8)
-        gateway = Gateway(service, exec_tier="process", worker_procs=2,
-                          sample_interval=60.0)
+        gateway = Gateway(service, exec_tier="process", worker_procs=2)
         yield gateway
         gateway.close()
 
@@ -288,7 +298,7 @@ class TestGatewayProcessTier:
             for family in ("repro_pool_workers_alive",
                            "repro_pool_dispatches_total",
                            "repro_pool_generation",
-                           "repro_pool_worker_resident_memory_bytes"):
+                           "repro_pool_worker_private_memory_bytes"):
                 assert family in metrics
             report = server.stop()
         assert report["pool"]["workers_killed"] == 0
@@ -307,8 +317,7 @@ class TestGatewayProcessTier:
         registry.save("second", replacement)
         service = DetectorService(pool_model, cache_size=8)
         gateway = Gateway(service, registry=registry, active_model="first",
-                          exec_tier="process", worker_procs=1,
-                          sample_interval=60.0)
+                          exec_tier="process", worker_procs=1)
         try:
             publish = gateway.pool.publish_detector
             served_at_publish = []
@@ -342,8 +351,7 @@ class TestGatewayProcessTier:
         monkeypatch.setattr(executor_module, "worker_main",
                             lambda *args: os._exit(1))
         service = DetectorService(pool_model, cache_size=8)
-        gateway = Gateway(service, exec_tier="process", worker_procs=2,
-                          sample_interval=60.0)
+        gateway = Gateway(service, exec_tier="process", worker_procs=2)
         try:
             assert gateway.exec_tier == "thread"
             assert gateway.pool is None

@@ -22,7 +22,6 @@ from repro.serve import (
     ServiceError,
     load_checkpoint,
     read_header,
-    run_serve_bench,
     save_checkpoint,
 )
 from repro.serve.checkpoint import _HEADER_KEY
@@ -315,6 +314,9 @@ class TestDetectorService:
     def test_cache_hits_and_bitwise_scores(self, checkpoint, fitted_umgad,
                                            tiny_dataset):
         service = DetectorService(checkpoint, cache_size=4)
+        # the training graph is warm before any request: its stored fit
+        # scores answer the first one without a scoring pass
+        assert service.is_warm(graph_fingerprint(tiny_dataset.graph))
         first = service.scores(tiny_dataset.graph)
         second = service.scores(tiny_dataset.graph)
         assert first is second  # same cached array, no recompute
@@ -326,8 +328,11 @@ class TestDetectorService:
                                                  fitted_umgad, rng):
         other = random_multiplex(30, 3, 16, rng)
         service = DetectorService(checkpoint)
+        assert not service.is_warm(graph_fingerprint(other))
         np.testing.assert_array_equal(service.scores(other),
                                       fitted_umgad.score_graph(other))
+        assert service.stats.misses == 1
+        assert service.is_warm(graph_fingerprint(other))
 
     def test_lru_eviction(self, checkpoint, tiny_dataset, rng):
         service = DetectorService(checkpoint, cache_size=1)
@@ -572,48 +577,6 @@ class TestModelRegistry:
             tiny_dataset.graph.num_nodes
 
 
-class TestServeBench:
-    def test_warm_faster_than_cold(self, checkpoint, tiny_dataset):
-        # An unseen graph, so "cold" is a real scoring pass: on the
-        # training graph both sides are sub-millisecond stored-score
-        # lookups and one host stall decides the comparison.
-        unseen = random_multiplex(40, tiny_dataset.graph.num_relations,
-                                  tiny_dataset.graph.num_features,
-                                  np.random.default_rng(3), avg_degree=3.0)
-        result = run_serve_bench(checkpoint, unseen, requests=3,
-                                 fit_seconds=1.0)
-        assert not result.cold_from_stored
-        assert result.warm_seconds <= result.cold_seconds
-        assert result.warm_speedup_vs_fit > 1.0
-        payload = result.to_dict()
-        assert payload["warm_requests"] == 3
-        assert "warm request" in result.render()
-        # cache telemetry rides along: 1 cold miss + 3 warm hits
-        assert payload["cache"]["misses"] == 1
-        assert payload["cache"]["hits"] == 3
-        assert "hit_rate" in result.render() or "cache" in result.render()
-
-    def test_cold_label_names_what_answered(self, checkpoint, tiny_dataset):
-        # the checkpoint's own training graph: stored fit scores answer
-        trained = run_serve_bench(checkpoint, tiny_dataset.graph, requests=1)
-        assert trained.cold_from_stored
-        assert trained.to_dict()["cold_from_stored"] is True
-        assert "stored fit scores" in trained.render()
-        assert "full scoring pass" not in trained.render()
-        # an unseen graph: the first request runs a real scoring pass
-        unseen = random_multiplex(40, tiny_dataset.graph.num_relations,
-                                  tiny_dataset.graph.num_features,
-                                  np.random.default_rng(3), avg_degree=3.0)
-        fresh = run_serve_bench(checkpoint, unseen, requests=1)
-        assert not fresh.cold_from_stored
-        assert "full scoring pass" in fresh.render()
-        assert "stored fit scores" not in fresh.render()
-
-    def test_rejects_zero_requests(self, checkpoint, tiny_dataset):
-        with pytest.raises(ValueError, match="requests"):
-            run_serve_bench(checkpoint, tiny_dataset.graph, requests=0)
-
-
 class TestServeCLI:
     def test_save_then_score_round_trip(self, tmp_path, capsys):
         model = tmp_path / "model.npz"
@@ -679,17 +642,3 @@ class TestServeCLI:
         assert cli_main(["score", "--model", str(tmp_path / "ghost.npz"),
                          "--dataset", "retail", "--scale", "0.12"]) == 1
         assert "no such checkpoint" in capsys.readouterr().err
-
-    def test_serve_bench_command(self, tmp_path, capsys):
-        model = tmp_path / "model.npz"
-        cli_main(["save", "--dataset", "retail", "--scale", "0.12",
-                  "--epochs", "2", "--out", str(model)])
-        capsys.readouterr()
-        assert cli_main(["serve-bench", "--model", str(model), "--dataset",
-                         "retail", "--scale", "0.12", "--requests", "3",
-                         "--output", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["warm_requests"] == 3
-        assert payload["warm_seconds"] > 0
-        assert payload["cache"]["hits"] == 3
-        assert payload["cache"]["hit_rate"] == pytest.approx(0.75)

@@ -4,15 +4,14 @@ Covers the three layers the observability loop closes through:
 
 * :mod:`repro.server.slo` — rolling/tumbling window math, burn
   detection, the ok/degraded/failing rollup;
-* :mod:`repro.obs.runtime` — process sampling and the background
-  sampler lifecycle;
+* :mod:`repro.obs.runtime` — process probes, read fresh by every
+  scrape with no sampler thread;
 * the gateway/HTTP surface — ``/healthz?deep=1`` component health, 503
   on sustained burn, the new ``slo_*``/runtime/cache metric families,
   and the client's ``healthz(deep=True)`` / ``metrics_parsed()``.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -20,12 +19,8 @@ import pytest
 from repro.detection import BaseDetector
 from repro.graphs import random_multiplex
 from repro.obs import assert_valid_exposition
-from repro.obs.runtime import (
-    RuntimeSampler,
-    capture_sample,
-    peak_rss_bytes,
-    rss_bytes,
-)
+from repro.obs.promlint import parse_families
+from repro.obs.runtime import capture_sample, peak_rss_bytes, rss_bytes
 from repro.serve import DetectorService
 from repro.server import (
     Gateway,
@@ -52,7 +47,7 @@ class FlatDetector(BaseDetector):
 
 
 def _gateway(**overrides):
-    defaults = dict(linger_ms=0.0, sample_interval=60.0,
+    defaults = dict(linger_ms=0.0,
                     slo_window=4, slo_p99_seconds=0.5,
                     slo_error_ratio=0.25, slo_sustain=2)
     defaults.update(overrides)
@@ -205,23 +200,37 @@ class TestRuntime:
         assert len(payload["gc"]) == 3
         assert all("collections" in gen for gen in payload["gc"])
 
-    def test_sampler_lifecycle(self):
-        with RuntimeSampler(interval=0.02) as sampler:
-            assert sampler.running
-            first = sampler.latest()          # immediate sample on start
-            assert first.rss_bytes > 0
-            time.sleep(0.1)
-            assert sampler.samples_taken >= 2
-            assert sampler.sample_seconds > 0.0
-            forced = sampler.refresh()
-            assert forced.unix_time >= first.unix_time
-        assert not sampler.running
+    def test_gateway_starts_no_sampler_thread(self):
+        before = set(threading.enumerate())
+        gateway = _gateway()
+        try:
+            started = {thread.name for thread in threading.enumerate()
+                       if thread not in before}
+            assert "repro-runtime-sampler" not in started
+            # the batcher's workers and its watchdog, nothing else
+            assert started == {"repro-batcher-0", "repro-batcher-1",
+                               "repro-batcher-watchdog"}
+        finally:
+            gateway.close()
 
-    def test_latest_without_start_captures_synchronously(self):
-        sampler = RuntimeSampler(interval=60.0)
-        assert sampler.latest().rss_bytes > 0
-        assert sampler.samples_taken == 1
-        sampler.close()
+    def test_scrape_reads_threads_fresh(self):
+        gateway = _gateway()
+        release = threading.Event()
+        extra = threading.Thread(target=release.wait, daemon=True)
+
+        def scraped_threads():
+            families = parse_families(gateway.metrics_text())
+            return families["repro_process_threads"]["samples"][0]["value"]
+
+        try:
+            before = scraped_threads()
+            extra.start()
+            assert scraped_threads() == before + 1
+        finally:
+            release.set()
+            extra.join(timeout=5.0)
+            gateway.close()
+        assert not extra.is_alive()
 
 
 # ---------------------------------------------------------------------------

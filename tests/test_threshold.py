@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core import default_window, moving_average, select_threshold
 from repro.core.threshold import predict_with_threshold
@@ -99,23 +98,21 @@ class TestSelectThreshold:
         # smoothed curve of a descending sort is non-increasing-ish
         assert result.smoothed[0] >= result.smoothed[-1]
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(5, 60), st.integers(0, 10_000))
-    def test_knee_recovery_property(self, k, seed):
+    def test_knee_recovery_property(self, int_examples):
         """Property: with a clean two-level curve the flagged count is
         within a factor of ~3 of the true anomaly count."""
-        scores = knee_curve(n_anomalies=k, n_normal=500, gap=3.0,
-                            noise=0.01, seed=seed)
-        result = select_threshold(scores)
-        assert result.num_anomalies <= 4 * k + 10
-        assert result.num_anomalies >= max(1, k // 4)
+        for k, seed in int_examples(20, (5, 60), (0, 10_000)):
+            scores = knee_curve(n_anomalies=k, n_normal=500, gap=3.0,
+                                noise=0.01, seed=seed)
+            result = select_threshold(scores)
+            assert result.num_anomalies <= 4 * k + 10
+            assert result.num_anomalies >= max(1, k // 4)
 
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_scale_shift_invariance(self, seed):
+    def test_scale_shift_invariance(self, int_examples):
         """Property: affine-transforming scores moves the threshold with
         them (same flagged set)."""
-        scores = knee_curve(seed=seed)
-        r1 = select_threshold(scores)
-        r2 = select_threshold(scores * 3.0 + 10.0)
-        assert r1.num_anomalies == r2.num_anomalies
+        for (seed,) in int_examples(15, (0, 10_000)):
+            scores = knee_curve(seed=seed)
+            r1 = select_threshold(scores)
+            r2 = select_threshold(scores * 3.0 + 10.0)
+            assert r1.num_anomalies == r2.num_anomalies
