@@ -202,13 +202,28 @@ def kmeans(x: np.ndarray, k: int, rng: np.random.Generator,
 
 def spectral_embedding(graph: RelationGraph, dim: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """Leading eigenvectors of the normalised adjacency (community signal)."""
+    """Leading eigenvectors of the normalised adjacency (community signal).
+
+    Computed on the largest connected component; other nodes get zero
+    rows. Each component adds an eigenvalue 1 to the self-looped
+    normalised adjacency, so on a graph with many components the leading
+    eigenspace is degenerate, any basis of it is a valid answer, and the
+    solver's pick changes with round-off. Within one component that
+    eigenvalue is simple.
+    """
+    _, labels = sp.csgraph.connected_components(graph.adjacency(),
+                                                directed=False)
+    nodes = np.flatnonzero(labels == np.bincount(labels).argmax())
     prop = graph.sym_propagator()
+    if nodes.size < graph.num_nodes:
+        prop = prop[nodes][:, nodes]
     dim = min(dim, graph.num_nodes - 2)
     try:
-        vals, vecs = sp.linalg.eigsh(prop, k=dim, which="LA",
-                                     v0=rng.random(graph.num_nodes))
-        return np.asarray(vecs)
+        _vals, vecs = sp.linalg.eigsh(prop, k=min(dim, nodes.size - 2),
+                                      which="LA", v0=rng.random(nodes.size))
+        embedding = np.zeros((graph.num_nodes, dim))
+        embedding[nodes, :vecs.shape[1]] = vecs
+        return embedding
     except Exception:
         # Fallback for tiny/degenerate graphs: random projection of adjacency.
         proj = rng.normal(size=(graph.num_nodes, dim))

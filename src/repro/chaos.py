@@ -1,6 +1,6 @@
 """Deterministic fault injection for resilience testing.
 
-Production failures — a checkpoint that will not read, a worker thread
+Production failures — a checkpoint that will not read, a worker process
 dying mid-batch, a dependency that suddenly takes 50 ms, a peer resetting
 the connection — are rare enough that the code paths handling them rot
 unexercised. This module plants named **fault points** at those sites so
@@ -14,8 +14,6 @@ Instrumented sites (grep for :func:`fail_point`)::
 
     checkpoint.load     repro.serve.checkpoint.load_checkpoint  (IOError)
     service.score       DetectorService scoring pass            (key=fingerprint)
-    batcher.worker      MicroBatcher worker loop (kills the thread)
-    batcher.batch       inside one batch's scoring try (fails the batch)
     gateway.score       Gateway.score entry (stage latency)
     http.reset          HTTP handler (connection reset, no response)
     pool.dispatch       ProcessPool.score before sending to a worker

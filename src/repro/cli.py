@@ -178,8 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--linger-ms", type=float, default=2.0,
                        help="how long a score batch stays open for "
                             "same-graph joiners")
-    serve.add_argument("--max-batch", type=int, default=64,
-                       help="max requests answered by one scoring pass")
     serve.add_argument("--cache-size", type=int, default=8,
                        help="DetectorService LRU size (distinct graphs)")
     serve.add_argument("--window", type=int, default=500,
@@ -434,61 +432,29 @@ def _run_score(args) -> int:
 def _run_stream(args) -> int:
     import itertools
 
-    from .serve import DetectorService, ServiceError
-    from .stream import (IncrementalGraphBuilder, StreamMonitor,
-                         WriteAheadLog, read_events)
+    from .serve import DetectorService
+    from .stream import WriteAheadLog, open_monitor, read_events
 
     service = DetectorService(args.model, match_dtype=False)
-    graph = None
-    if args.graph:
-        graph, _labels = load_multiplex(args.graph)
-        names = graph.relation_names
-        num_features = graph.num_features
-    else:
-        detector = service.detector
-        names = getattr(detector, "_relation_names", None)
-        num_features = getattr(detector, "_num_features", None)
-        if not names or not num_features:
-            raise ServiceError(
-                "checkpoint records no relation schema; pass --graph with "
-                "the initial snapshot instead")
-
+    graph = load_multiplex(args.graph)[0] if args.graph else None
+    wal = WriteAheadLog(args.wal_dir) if args.wal_dir else None
+    monitor = open_monitor(
+        service, wal=wal, base_graph=graph, window=args.window,
+        stride=args.stride, top_k=args.top,
+        psi_threshold=args.psi_threshold, jump_sigma=args.jump_sigma,
+        snapshot_every=args.snapshot_every)
     skip = 0
-    if args.wal_dir:
-        wal = WriteAheadLog(args.wal_dir)
-        monitor = StreamMonitor.recover(
-            service, wal, relation_names=names, num_features=num_features,
-            window=args.window, stride=args.stride, top_k=args.top,
-            psi_threshold=args.psi_threshold, jump_sigma=args.jump_sigma,
-            snapshot_every=args.snapshot_every)
-        if monitor.recovered:
-            # The recovered state already holds this many of the log's
-            # events (scored windows + the restored pending buffer) —
-            # resume the replay right after them.
-            skip = monitor.events_consumed + monitor.buffered
-            if args.output == "text":
-                print(f"recovered from {args.wal_dir}: "
-                      f"{monitor.windows_scored} windows, "
-                      f"{monitor.events_consumed} events consumed, "
-                      f"{monitor.buffered} buffered; skipping the first "
-                      f"{skip} event(s) of {args.events}")
-        elif graph is not None and monitor.builder.num_nodes == 0:
-            # Fresh WAL: seed from the base graph like the non-WAL path.
-            monitor = StreamMonitor(
-                service, IncrementalGraphBuilder.from_graph(graph), wal=wal,
-                window=args.window, stride=args.stride, top_k=args.top,
-                psi_threshold=args.psi_threshold, jump_sigma=args.jump_sigma,
-                snapshot_every=args.snapshot_every)
-    else:
-        if graph is not None:
-            builder = IncrementalGraphBuilder.from_graph(graph)
-        else:
-            builder = IncrementalGraphBuilder(relation_names=names,
-                                              num_features=num_features)
-        monitor = StreamMonitor(
-            service, builder, window=args.window, stride=args.stride,
-            top_k=args.top, psi_threshold=args.psi_threshold,
-            jump_sigma=args.jump_sigma)
+    if monitor.recovered:
+        # The recovered state already holds this many of the log's
+        # events (scored windows + the restored pending buffer) —
+        # resume the replay right after them.
+        skip = monitor.events_consumed + monitor.buffered
+        if args.output == "text":
+            print(f"recovered from {args.wal_dir}: "
+                  f"{monitor.windows_scored} windows, "
+                  f"{monitor.events_consumed} events consumed, "
+                  f"{monitor.buffered} buffered; skipping the first "
+                  f"{skip} event(s) of {args.events}")
 
     def emit_report(report) -> None:
         if args.output == "json":
@@ -551,8 +517,8 @@ def _run_serve(args) -> int:
     gateway = Gateway(service, registry=registry, active_model=active,
                       base_graph=base_graph, workers=args.workers,
                       max_queue=args.max_queue, linger_ms=args.linger_ms,
-                      max_batch=args.max_batch, window=args.window,
-                      stride=args.stride, slo_window=args.slo_window,
+                      window=args.window, stride=args.stride,
+                      slo_window=args.slo_window,
                       slo_p99_seconds=args.slo_p99_seconds,
                       slo_error_ratio=args.slo_error_ratio,
                       slo_sustain=args.slo_sustain,
@@ -657,7 +623,7 @@ def _dispatch_command(args) -> int:
         # event log, bad node) into one-line errors instead of tracebacks.
         # Training commands keep full tracebacks — their failures are
         # bugs, not user input.
-        from .serve import CheckpointError, ServiceError
+        from .serve import CheckpointError, NonFiniteScoresError, ServiceError
         from .stream import WalCorruptionError
 
         try:
@@ -666,8 +632,9 @@ def _dispatch_command(args) -> int:
             if args.command == "stream":
                 return _run_stream(args)
             return _run_serve(args)
-        except (CheckpointError, ServiceError, WalCorruptionError,
-                FileNotFoundError, ValueError, IndexError, KeyError) as exc:
+        except (CheckpointError, NonFiniteScoresError, ServiceError,
+                WalCorruptionError, FileNotFoundError, ValueError,
+                IndexError, KeyError) as exc:
             # KeyError's str() wraps the message in quotes; everything
             # else (notably OSError subclasses) formats itself best.
             message = exc.args[0] if isinstance(exc, KeyError) and \

@@ -46,7 +46,7 @@ def log_spaced_bounds(lo: float, hi: float,
 #: default request/stage duration buckets: 500µs .. 30s, 1/2.5/5 ladder
 DURATION_BOUNDS = log_spaced_bounds(5e-4, 30.0)
 
-#: micro-batch size buckets (powers of two up to the default max_batch)
+#: micro-batch size buckets (powers of two up to the default max_queue)
 BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 

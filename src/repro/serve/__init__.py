@@ -21,7 +21,8 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .registry import ModelInfo, ModelRegistry
-from .service import DetectorService, ServiceError, ServiceStats
+from .service import (DetectorService, NonFiniteScoresError, ServiceError,
+                      ServiceStats)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -29,6 +30,7 @@ __all__ = [
     "DetectorService",
     "ModelInfo",
     "ModelRegistry",
+    "NonFiniteScoresError",
     "ServiceError",
     "ServiceStats",
     "checkpoint_payload",

@@ -45,6 +45,14 @@ class ServiceError(RuntimeError):
     """A serving request the loaded detector cannot answer."""
 
 
+class NonFiniteScoresError(RuntimeError):
+    """A scoring pass returned NaN or infinite scores (never cached).
+
+    Not a :class:`ServiceError`: the request was valid, the pass failed,
+    so the gateway answers 500 rather than 409.
+    """
+
+
 @dataclass
 class ServiceStats:
     """Cache + refit telemetry for one :class:`DetectorService`."""
@@ -305,19 +313,29 @@ class DetectorService:
                 self._inflight.pop(fingerprint, None)
             waiter.done.set()
             raise
-        entry = _CacheEntry(fingerprint=fingerprint, scores=scores)
+        entry = error = None
+        finite = np.isfinite(scores)
+        if finite.all():
+            entry = _CacheEntry(fingerprint=fingerprint, scores=scores)
+        else:
+            bad = np.flatnonzero(~finite)
+            error = NonFiniteScoresError(
+                f"scoring pass returned {bad.size} non-finite score(s) of "
+                f"{scores.size}, first at node {int(bad[0])}")
         with self._lock:
             self.stats.misses += 1
-            if self._generation == generation:
+            if entry is not None and self._generation == generation:
                 # Skip caching when the detector was hot-swapped mid-pass:
                 # these scores belong to the replaced detector.
                 self._cache[fingerprint] = entry
                 while len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
                     self.stats.evictions += 1
-            waiter.entry = entry
+            waiter.entry, waiter.error = entry, error
             self._inflight.pop(fingerprint, None)
         waiter.done.set()
+        if error is not None:
+            raise error
         return entry
 
     def clear_cache(self) -> None:

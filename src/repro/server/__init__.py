@@ -30,12 +30,12 @@ JSON API:
   stale-score cache (flagged ``degraded: true``) while half-open probes
   test recovery.
 
-Resilience (PR 8): batcher workers crashed by faults are respawned by a
-watchdog with their in-hand batch re-queued; ``X-Repro-Deadline-Ms``
-deadlines drop expired requests (504); :class:`ServerClient` retries
-transient failures with jittered exponential backoff honouring
-``Retry-After``; :mod:`repro.chaos` fault points make every one of these
-paths deterministically testable.
+Resilience: a batcher worker survives any fault in its group (the
+group's requests fail, the thread takes the next group);
+``X-Repro-Deadline-Ms`` deadlines drop expired requests (504);
+:class:`ServerClient` retries transient failures with jittered
+exponential backoff honouring ``Retry-After``; :mod:`repro.chaos` fault
+points make every one of these paths deterministically testable.
 
 Observability (:mod:`repro.obs`) is threaded through every layer: traced
 requests echo ``X-Repro-Trace-Id``, completed traces are served at

@@ -9,14 +9,13 @@ instead of queueing their own scoring pass. A worker then runs **one**
 fans the resulting array out to every waiting future — N identical
 concurrent requests cost one scoring pass instead of N.
 
-Resilience (PR 8): a **watchdog** thread respawns any worker killed by an
-unexpected exception — the dying worker first re-queues the batch group
-it was holding, so admitted requests survive worker crashes — expired
+Workers cannot die: any exception while a worker handles a group, in
+the scoring pass or in the batcher's own bookkeeping, fails that group's
+unanswered requests once and the worker takes the next group. Expired
 **deadlines** (propagated from the ``X-Repro-Deadline-Ms`` header) drop
 requests whose caller already gave up instead of scoring them, and
 :meth:`MicroBatcher.close` reports workers that outlive the join timeout
-instead of silently leaking them. Fault points ``batcher.worker`` and
-``batcher.batch`` (:mod:`repro.chaos`) exercise these paths in tests.
+(wedged in a scoring pass) instead of silently leaking them.
 
 Two protections keep the pool healthy under load:
 
@@ -43,7 +42,6 @@ from concurrent.futures import Future
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional
 
-from .. import chaos
 from ..graphs.io import graph_fingerprint
 from ..graphs.multiplex import MultiplexGraph
 from ..obs.hist import BATCH_SIZE_BOUNDS, DURATION_BOUNDS, Histogram
@@ -54,15 +52,6 @@ from ..obs.trace import current_span, current_trace, span, use_span
 from ..serve.service import DetectorService
 
 _log = get_logger("repro.server.batcher")
-
-#: how many times a batch group orphaned by a worker crash is re-queued
-#: before its requests are failed with the crash error. Three respawn
-#: cycles separate a transient crash (poisoned neighbour, injected
-#: fault) from a deterministic one that would crash every worker.
-_MAX_REQUEUES = 3
-
-#: seconds between watchdog liveness sweeps over the worker pool
-_WATCHDOG_INTERVAL = 0.25
 
 #: seconds close() waits for each worker before declaring it leaked
 _JOIN_TIMEOUT = 30.0
@@ -106,13 +95,6 @@ class BatcherStats:
         "gauge", "Largest batch answered by one scoring pass.")
     expired: int = metric(
         "counter", "Score requests dropped on an expired deadline.")
-    worker_crashes: int = metric(
-        "counter", "Batcher workers killed by unexpected exceptions.")
-    worker_respawns: int = metric(
-        "counter", "Replacement workers started by the watchdog.")
-    rescued: int = metric(
-        "counter", "Batch groups re-queued after a worker crash.",
-        name="rescued_groups")
     #: workers still alive after close() exhausted its join timeout
     leaked_workers: int = 0
 
@@ -124,7 +106,7 @@ class _Group:
     """One open batch: every future here is answered by one scoring pass."""
 
     __slots__ = ("fingerprint", "graph", "futures", "deadline",
-                 "submit_times", "deadlines", "requeues", "obs_parent")
+                 "submit_times", "deadlines", "obs_parent")
 
     def __init__(self, fingerprint: str, graph: MultiplexGraph,
                  future: Future, deadline: float,
@@ -137,8 +119,6 @@ class _Group:
         self.submit_times: List[float] = [time.monotonic()]
         #: per-future caller deadlines (monotonic, None = no deadline)
         self.deadlines: List[Optional[float]] = [request_deadline]
-        #: crash-rescue cycles this group has survived
-        self.requeues = 0
         # The leader request's ambient span: worker threads adopt it so
         # the batch span lands in that request's trace. None when the
         # leader was untraced.
@@ -161,27 +141,22 @@ class MicroBatcher:
     linger_ms:
         How long a group stays open for joiners after its first request
         (the classic micro-batching latency/throughput trade: a few
-        milliseconds of added latency buys request coalescing).
-    max_batch:
-        Maximum requests per group; the next request for the same
-        fingerprint opens a fresh group.
+        milliseconds of added latency buys request coalescing). A group
+        has no size cap: admission (``max_queue``) bounds it, and every
+        member gets the same array from one pass.
     """
 
     def __init__(self, service: DetectorService, *, workers: int = 2,
-                 max_queue: int = 64, linger_ms: float = 2.0,
-                 max_batch: int = 64):
+                 max_queue: int = 64, linger_ms: float = 2.0):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if linger_ms < 0:
             raise ValueError(f"linger_ms must be >= 0, got {linger_ms}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.service = service
         self.workers = int(workers)
         self.max_queue = int(max_queue)
-        self.max_batch = int(max_batch)
         self._linger = float(linger_ms) / 1000.0
         self.stats = BatcherStats()
         #: cumulative wall seconds workers spent processing groups (linger
@@ -201,41 +176,12 @@ class MicroBatcher:
                                     "leaked_workers": [],
                                     "pending_at_close": 0}
         self._queue: "queue.SimpleQueue[Optional[_Group]]" = queue.SimpleQueue()
-        self._shutdown = threading.Event()
-        self._spawned = 0
-        self._threads = [self._spawn_worker() for _ in range(int(workers))]
-        self._watchdog_thread = threading.Thread(
-            target=self._watchdog, daemon=True, name="repro-batcher-watchdog")
-        self._watchdog_thread.start()
-
-    def _spawn_worker(self) -> threading.Thread:
-        thread = threading.Thread(target=self._run, daemon=True,
-                                  name=f"repro-batcher-{self._spawned}")
-        self._spawned += 1
-        thread.start()
-        return thread
-
-    def _watchdog(self) -> None:
-        """Respawn workers killed by unexpected exceptions.
-
-        A worker that dies mid-group first re-queues the group (see
-        :meth:`_rescue`), so a respawned worker picks the orphaned batch
-        back up and no admitted request is lost. Workers exiting on the
-        shutdown sentinel are not respawned — the watchdog checks
-        ``closed`` before acting and exits once shutdown begins.
-        """
-        while not self._shutdown.wait(_WATCHDOG_INTERVAL):
-            with self._lock:
-                if self._closed:
-                    return
-                dead = [i for i, t in enumerate(self._threads)
-                        if not t.is_alive()]
-                if not dead:
-                    continue
-                for i in dead:
-                    self._threads[i] = self._spawn_worker()
-                    self.stats.worker_respawns += 1
-            _log.warning("batcher.worker_respawned", count=len(dead))
+        self._threads = [
+            threading.Thread(target=self._run, daemon=True,
+                             name=f"repro-batcher-{i}")
+            for i in range(self.workers)]
+        for thread in self._threads:
+            thread.start()
 
     # ------------------------------------------------------------------
     @property
@@ -318,7 +264,7 @@ class MicroBatcher:
             self._pending += 1
             self.stats.submitted += 1
             group = self._groups.get(fingerprint)
-            if group is not None and len(group.futures) < self.max_batch:
+            if group is not None:
                 group.futures.append(future)
                 group.submit_times.append(time.monotonic())
                 group.deadlines.append(deadline)
@@ -347,56 +293,28 @@ class MicroBatcher:
             group = self._queue.get()
             if group is None:
                 return
+            work_started = time.monotonic()
             try:
-                # Deterministic worker-kill fault: raised *outside*
-                # _process's error handling, so the exception escapes,
-                # the group is rescued, and this thread dies for the
-                # watchdog to replace.
-                chaos.fail_point("batcher.worker", key=group.fingerprint)
                 self._process(group)
             except BaseException as exc:
-                self._rescue(group, exc)
-                raise
+                # A scoring error or a fault in the bookkeeping around it:
+                # either way the group fails once and this thread lives.
+                self._fail(group, exc)
+            with self._lock:
+                self._busy_seconds += time.monotonic() - work_started
 
-    def _rescue(self, group: _Group, exc: BaseException) -> None:
-        """Re-queue a group orphaned by this worker's crash.
-
-        Unresolved futures go back on the queue for a (respawned) worker,
-        so a worker crash loses zero admitted requests. After
-        ``_MAX_REQUEUES`` rescue cycles the crash is considered
-        deterministic and the futures are failed with it instead —
-        re-queueing forever would crash every replacement worker too.
-        """
-        unresolved = [f for f in group.futures if not f.done()]
-        if not unresolved:
-            return
+    def _fail(self, group: _Group, exc: BaseException) -> None:
+        """Fail the group's unanswered futures with ``exc``."""
         with self._lock:
-            self.stats.worker_crashes += 1
-            group.requeues += 1
-            requeues = group.requeues
-            if requeues <= _MAX_REQUEUES:
-                self.stats.rescued += 1
-            else:
-                self.stats.failed += len(unresolved)
-                self._pending -= len(unresolved)
-                if self._groups.get(group.fingerprint) is group:
-                    del self._groups[group.fingerprint]
-        if requeues <= _MAX_REQUEUES:
-            _log.warning("batcher.group_rescued",
-                         fingerprint=group.fingerprint,
-                         futures=len(unresolved), requeues=requeues,
-                         error=type(exc).__name__)
-            self._queue.put(group)
-        else:
-            _log.error("batcher.group_abandoned",
-                       fingerprint=group.fingerprint,
-                       futures=len(unresolved), requeues=requeues,
-                       error=type(exc).__name__)
-            for future in unresolved:
-                future.set_exception(exc)
+            if self._groups.get(group.fingerprint) is group:
+                del self._groups[group.fingerprint]
+            unresolved = [f for f in group.futures if not f.done()]
+            self.stats.failed += len(unresolved)
+            self._pending -= len(unresolved)
+        for future in unresolved:
+            future.set_exception(exc)
 
     def _process(self, group: _Group) -> None:
-        work_started = time.monotonic()
         # Hold the group open until its linger deadline so concurrent
         # requests can still join; joiners append under the lock. When
         # the service is already warm for this fingerprint (cached, in
@@ -414,15 +332,12 @@ class MicroBatcher:
         batch_started = time.monotonic()
         # Drop entries whose caller's deadline passed while they queued:
         # scoring them would spend batch capacity on answers nobody is
-        # waiting for. (A rescued group may carry already-resolved
-        # futures — those are skipped too.)
+        # waiting for.
         live: List[Future] = []
         live_times: List[float] = []
         expired: List[Future] = []
         for future, submitted, request_deadline in zip(
                 futures, submit_times, deadlines):
-            if future.done():
-                continue
             if request_deadline is not None and batch_started >= request_deadline:
                 expired.append(future)
             else:
@@ -436,51 +351,32 @@ class MicroBatcher:
                 future.set_exception(DeadlineExceeded(
                     "request deadline expired while queued for batching"))
         if not live:
-            with self._lock:
-                self._busy_seconds += time.monotonic() - work_started
             return
         futures, submit_times = live, live_times
         for submitted in submit_times:
             self.queue_wait.observe(batch_started - submitted)
         self.batch_sizes.observe(len(futures))
         # The scoring pass runs under the leader request's span (if it
-        # was traced); the error is captured in a local so the worker
-        # thread survives to resolve the futures either way.
-        error: Optional[BaseException] = None
-        scores = None
+        # was traced); the span records a scoring error on its way to
+        # _run's handler.
         with use_span(group.obs_parent), span("batcher.batch") as sp:
             sp.set("batch_size", len(futures))
             sp.set("coalesced", len(futures) - 1)
-            try:
-                chaos.fail_point("batcher.batch", key=group.fingerprint)
-                scores = self.service.scores(group.graph, group.fingerprint)
-            except BaseException as exc:
-                sp.set("error", type(exc).__name__)
-                error = exc
+            scores = self.service.scores(group.graph, group.fingerprint)
         batch_info = {
             "batch_size": len(futures),
             "coalesced": len(futures) - 1,
             "queue_wait_ms": (batch_started - submit_times[0]) * 1e3,
         }
-        if error is not None:
-            with self._lock:
-                self.stats.failed += len(futures)
-                self._pending -= len(futures)
-                self._busy_seconds += time.monotonic() - work_started
-            for future in futures:
-                future.obs_batch = batch_info
-                future.set_exception(error)
-        else:
-            with self._lock:
-                self.stats.batches += 1
-                self.stats.completed += len(futures)
-                self.stats.largest_batch = max(self.stats.largest_batch,
-                                               len(futures))
-                self._pending -= len(futures)
-                self._busy_seconds += time.monotonic() - work_started
-            for future in futures:
-                future.obs_batch = batch_info
-                future.set_result(scores)
+        with self._lock:
+            self.stats.batches += 1
+            self.stats.completed += len(futures)
+            self.stats.largest_batch = max(self.stats.largest_batch,
+                                           len(futures))
+            self._pending -= len(futures)
+        for future in futures:
+            future.obs_batch = batch_info
+            future.set_result(scores)
 
     # ------------------------------------------------------------------
     def close(self, wait: bool = True) -> dict:
@@ -502,10 +398,6 @@ class MicroBatcher:
                 return dict(self._close_report)
             self._closed = True
             pending_at_close = self._pending
-        # Stop the watchdog before workers exit on their sentinels, so a
-        # cleanly-exiting worker is never mistaken for a crash.
-        self._shutdown.set()
-        self._watchdog_thread.join(timeout=5.0)
         for _ in self._threads:
             self._queue.put(None)
         leaked: List[str] = []
@@ -521,7 +413,7 @@ class MicroBatcher:
                 # surface it instead of returning as if shutdown was clean.
                 with self._lock:
                     self.stats.leaked_workers += len(leaked)
-                _log.error("batcher.workers_leaked", workers=leaked,
+                _log.error("batcher.leaked_workers", workers=leaked,
                            timeout_s=_JOIN_TIMEOUT)
         report = {
             "workers_joined": joined,

@@ -31,9 +31,8 @@ from ..obs import runtime
 from ..obs.trace import TraceStore, annotate, span
 from ..serve.registry import ModelRegistry
 from ..serve.service import DetectorService, ServiceError
-from ..stream.builder import IncrementalGraphBuilder
 from ..stream.events import parse_event
-from ..stream.monitor import StreamMonitor
+from ..stream.monitor import StreamMonitor, open_monitor
 from ..stream.wal import WriteAheadLog
 from .batcher import DeadlineExceeded, MicroBatcher
 from .breaker import CircuitBreaker
@@ -82,7 +81,7 @@ class Gateway:
         Optional initial snapshot seeding the event-stream builder; when
         omitted, the builder bootstraps an empty graph from the served
         detector's relation schema on the first ``/v1/events`` request.
-    workers / max_queue / linger_ms / max_batch:
+    workers / max_queue / linger_ms:
         Forwarded to the :class:`MicroBatcher`.
     exec_tier:
         ``"thread"`` (default) scores in-process; ``"process"`` forks a
@@ -110,8 +109,7 @@ class Gateway:
                  active_model: Optional[str] = None,
                  base_graph: Optional[MultiplexGraph] = None,
                  workers: int = 2, max_queue: int = 64,
-                 linger_ms: float = 2.0, max_batch: int = 64,
-                 request_timeout: float = 60.0,
+                 linger_ms: float = 2.0, request_timeout: float = 60.0,
                  window: int = 500, stride: Optional[int] = None,
                  top_k: int = 10, psi_threshold: float = 0.25,
                  jump_sigma: float = 6.0, trace_capacity: int = 128,
@@ -130,7 +128,7 @@ class Gateway:
             raise ValueError(
                 f"exec_tier must be 'thread' or 'process', got {exec_tier!r}")
         # The pool must exist before ANY thread this constructor starts
-        # (the batcher's workers and watchdog): the default start method is
+        # (the batcher's workers): the default start method is
         # fork, and forking a multi-threaded process is where the dragons
         # live. Pool startup failure is a degradation, not an error — the
         # thread tier serves every request the process tier would.
@@ -147,8 +145,7 @@ class Gateway:
             except PoolUnavailable as exc:
                 self.pool_fallback_reason = str(exc)
         self.batcher = MicroBatcher(service, workers=workers,
-                                    max_queue=max_queue, linger_ms=linger_ms,
-                                    max_batch=max_batch)
+                                    max_queue=max_queue, linger_ms=linger_ms)
         self.request_timeout = float(request_timeout)
         self._monitor_kwargs = dict(window=window, stride=stride, top_k=top_k,
                                     psi_threshold=psi_threshold,
@@ -436,34 +433,18 @@ class Gateway:
         """
         if self.monitor is not None:
             return self.monitor
-        if self._base_graph is not None:
-            names = self._base_graph.relation_names
-            num_features = self._base_graph.num_features
-        else:
-            detector = self.service.detector
-            names = getattr(detector, "_relation_names", None)
-            num_features = getattr(detector, "_num_features", None)
-            if not names or not num_features:
-                raise GatewayError(
-                    "served checkpoint records no relation schema; start "
-                    "the server with an initial --graph snapshot to accept "
-                    "events", 409)
         wal = None
         if self._wal_dir is not None:
             wal = WriteAheadLog(self._wal_dir, fsync=self._wal_fsync)
-        if wal is not None and (wal.last_seq > 0
-                                or any(wal.directory.glob("snap-*.npz"))):
-            self.monitor = StreamMonitor.recover(
-                self.service, wal, relation_names=names,
-                num_features=num_features, **self._monitor_kwargs)
-        else:
-            if self._base_graph is not None:
-                builder = IncrementalGraphBuilder.from_graph(self._base_graph)
-            else:
-                builder = IncrementalGraphBuilder(relation_names=names,
-                                                  num_features=num_features)
-            self.monitor = StreamMonitor(self.service, builder, wal=wal,
-                                         **self._monitor_kwargs)
+        try:
+            self.monitor = open_monitor(self.service, wal=wal,
+                                        base_graph=self._base_graph,
+                                        **self._monitor_kwargs)
+        except ServiceError as exc:
+            raise GatewayError(f"cannot accept events: {exc}", 409) from None
+        finally:
+            if self.monitor is None and wal is not None:
+                wal.close()
         return self.monitor
 
     # ------------------------------------------------------------------

@@ -18,8 +18,11 @@ detector's view of it — current while edge/node/attribute events arrive:
   pluggable drift-triggered refit policy;
 * :mod:`repro.stream.wal` — :class:`WriteAheadLog`, CRC-framed segmented
   event logging with periodic builder snapshots and replay-on-startup
-  recovery (:meth:`StreamMonitor.recover`) whose restored fingerprint is
-  bitwise-identical to an uninterrupted run.
+  recovery whose restored fingerprint is bitwise-identical to an
+  uninterrupted run;
+* :func:`open_monitor` — the one way to start a monitor: resume a WAL's
+  state when it holds any, else seed from a base graph or the detector's
+  relation schema (``repro stream`` and the gateway both use it).
 """
 
 from .builder import ApplyStats, IncrementalGraphBuilder
@@ -46,6 +49,7 @@ from .monitor import (
     WindowReport,
     alert_dict,
     ks_statistic,
+    open_monitor,
     psi,
 )
 from .wal import (
@@ -84,6 +88,7 @@ __all__ = [
     "bootstrap_events",
     "ks_statistic",
     "load_latest_snapshot",
+    "open_monitor",
     "parse_event",
     "psi",
     "read_events",

@@ -39,7 +39,8 @@ import numpy as np
 from ..detection import BaseDetector
 from ..obs.metrics import Collected, dict_families, stat_families
 from ..obs.trace import span
-from ..serve.service import DetectorService
+from ..graphs.multiplex import MultiplexGraph
+from ..serve.service import DetectorService, ServiceError
 from .builder import IncrementalGraphBuilder
 from .events import Event
 from .wal import (
@@ -273,9 +274,9 @@ class StreamMonitor:
         batch is durably logged *before* it is buffered, and a ``window``
         marker (carrying the builder fingerprint and monitor counters) is
         written after each scored window — the invariants
-        :meth:`recover` relies on. A monitor whose WAL is empty writes an
-        initial snapshot of a non-empty seed builder, so recovery never
-        needs the original base graph.
+        :func:`open_monitor` relies on to resume. A monitor whose WAL is
+        empty writes an initial snapshot of a non-empty seed builder, so
+        recovery never needs the original base graph.
     snapshot_every:
         Windows between builder snapshots (WAL segments covered by a
         snapshot are pruned). 0 disables periodic snapshots.
@@ -337,32 +338,6 @@ class StreamMonitor:
             self._write_snapshot()
 
     # ------------------------------------------------------------------
-    @classmethod
-    def recover(cls, service: DetectorService, wal: WriteAheadLog, *,
-                relation_names: Optional[List[str]] = None,
-                num_features: Optional[int] = None,
-                verify_fingerprints: bool = True,
-                **monitor_kwargs) -> "StreamMonitor":
-        """Rebuild a monitor from ``wal``'s snapshot + record replay.
-
-        The restored builder fingerprint is bitwise-identical to the
-        crashed run's (events past the last window marker come back as
-        the pending buffer, exactly as they were buffered pre-crash).
-        ``relation_names``/``num_features`` are only needed when no
-        snapshot exists yet. Extra kwargs go to the constructor.
-        """
-        state = recover_builder(wal, relation_names=relation_names,
-                                num_features=num_features,
-                                verify_fingerprints=verify_fingerprints)
-        monitor = cls(service, state.builder, wal=wal, **monitor_kwargs)
-        monitor.windows_scored = state.windows_scored
-        monitor.events_consumed = state.events_consumed
-        monitor.alerts_raised = state.alerts_raised
-        monitor._buffer = list(state.pending)
-        monitor.recovered = state.recovered
-        return monitor
-
-    # ------------------------------------------------------------------
     def ingest(self, events: Iterable[Event]) -> List[WindowReport]:
         """Durably log one ingested batch, then buffer it, scoring every
         window that fills. This is the WAL-ordered write path: events are
@@ -382,8 +357,11 @@ class StreamMonitor:
                     {"events": [event.to_dict() for event in chunk]})
             self._buffer.extend(chunk)
             if len(self._buffer) >= self.stride:
-                reports.append(self._score_window(self._buffer))
-                self._buffer = []
+                # Unbuffer before applying: a window whose scoring raises
+                # has still applied its events, and must not apply them
+                # again with the next window.
+                batch, self._buffer = self._buffer, []
+                reports.append(self._score_window(batch))
         return reports
 
     def run(self, events: Iterable[Event]) -> Iterator[WindowReport]:
@@ -405,9 +383,8 @@ class StreamMonitor:
         """Score whatever partial window is buffered, if anything."""
         if not self._buffer:
             return None
-        report = self._score_window(self._buffer)
-        self._buffer = []
-        return report
+        batch, self._buffer = self._buffer, []
+        return self._score_window(batch)
 
     def checkpoint(self) -> None:
         """Snapshot current state to the WAL directory (e.g. at shutdown).
@@ -592,3 +569,51 @@ class StreamMonitor:
         )
         self.reports.append(report)
         return report
+
+
+def open_monitor(service: DetectorService, *,
+                 wal: Optional[WriteAheadLog] = None,
+                 base_graph: Optional[MultiplexGraph] = None,
+                 **monitor_kwargs) -> StreamMonitor:
+    """Start a :class:`StreamMonitor`, resuming ``wal``'s state if any.
+
+    A ``wal`` that holds records or a snapshot is the durable truth about
+    what was already ingested: the monitor is rebuilt from its snapshot
+    plus record replay, bitwise-identical to the crashed run (events past
+    the last window marker come back as the pending buffer). Otherwise
+    the builder starts from ``base_graph``, or empty with the served
+    detector's relation schema. The caller opens the WAL, so fsync stays
+    its choice. Extra kwargs go to the constructor.
+
+    Raises :class:`ServiceError` when a fresh builder needs a schema (no
+    base graph) and the detector records none; recovery needs one only
+    when the WAL holds no snapshot yet.
+    """
+    if base_graph is not None:
+        names = base_graph.relation_names
+        num_features = base_graph.num_features
+    else:
+        names = getattr(service.detector, "_relation_names", None)
+        num_features = getattr(service.detector, "_num_features", None)
+    if wal is not None and (wal.last_seq > 0
+                            or any(wal.directory.glob(_SNAPSHOT_GLOB))):
+        state = recover_builder(wal, relation_names=names,
+                                num_features=num_features)
+        monitor = StreamMonitor(service, state.builder, wal=wal,
+                                **monitor_kwargs)
+        monitor.windows_scored = state.windows_scored
+        monitor.events_consumed = state.events_consumed
+        monitor.alerts_raised = state.alerts_raised
+        monitor._buffer = list(state.pending)
+        monitor.recovered = state.recovered
+        return monitor
+    if base_graph is not None:
+        builder = IncrementalGraphBuilder.from_graph(base_graph)
+    elif names and num_features:
+        builder = IncrementalGraphBuilder(relation_names=names,
+                                          num_features=num_features)
+    else:
+        raise ServiceError(
+            "the served checkpoint records no relation schema; start from "
+            "an initial graph snapshot (--graph) instead")
+    return StreamMonitor(service, builder, wal=wal, **monitor_kwargs)

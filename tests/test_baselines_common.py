@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from repro.autograd import Tensor, ops
+from repro.baselines import make_baseline
 from repro.baselines.common import (
     GCNStack,
     MLP,
@@ -20,6 +22,7 @@ from repro.baselines.common import (
     train_detector,
     zscore,
 )
+from repro.datasets import load_dataset
 from repro.graphs import RelationGraph
 
 
@@ -79,6 +82,20 @@ class TestClusteringSpectra:
         emb = spectral_embedding(tiny_relation, 4, rng)
         assert emb.shape == (30, 4)
         assert np.all(np.isfinite(emb))
+
+    def test_comga_fit_is_pure_on_a_graph_of_many_components(self):
+        """The bench-scale dgfin graph merges into 441 components, so its
+        normalised adjacency's top eigenvalue has multiplicity 441: the
+        embedding must not depend on which basis a solver picks."""
+        graph = load_dataset("dgfin", scale=0.15, num_features=24,
+                             seed=7).graph
+        _, labels = connected_components(
+            merged_graph(graph).adjacency(), directed=False)
+        assert labels.max() + 1 > 100
+        first, second = (
+            make_baseline("ComGA", seed=0, epochs=2).fit(graph)
+            .decision_scores() for _ in range(2))
+        assert np.array_equal(first, second)
 
 
 class TestLossesAndTraining:

@@ -118,7 +118,7 @@ class TestEnvSpec:
     def test_spec_parsing(self):
         armed = chaos.install_from_env(
             "checkpoint.load:ioerror:2, gateway.score:latency:0.001;"
-            "batcher.worker:error:inf")
+            "service.score:error:inf")
         assert armed == 3
         with pytest.raises(OSError):
             chaos.fail_point("checkpoint.load")
@@ -128,7 +128,7 @@ class TestEnvSpec:
         chaos.fail_point("gateway.score")       # latency: returns
         for _ in range(3):
             with pytest.raises(chaos.ChaosError):
-                chaos.fail_point("batcher.worker")   # inf: never disarms
+                chaos.fail_point("service.score")    # inf: never disarms
 
     def test_default_count_is_one(self):
         chaos.install_from_env("one.shot:error")

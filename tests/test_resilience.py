@@ -4,8 +4,8 @@ The acceptance criteria of the resilience work, asserted directly:
 
 * SIGKILL mid-batch → restart from WAL + snapshot → the recovered
   fingerprint is bitwise-identical to an uninterrupted run;
-* an injected batcher-worker crash leaves ``/healthz`` green and loses
-  zero accepted requests;
+* a fault in a batcher worker's bookkeeping fails that one group and
+  the worker lives on to answer the next request;
 * a poisoned request returns 500 while herd-mates score normally, and a
   streak of failures trips the per-fingerprint breaker into degraded
   stale-cache answers that heal through a half-open probe;
@@ -33,6 +33,7 @@ import pytest
 from repro import chaos
 from repro.detection import BaseDetector
 from repro.graphs import graph_fingerprint, random_multiplex
+from repro.obs.hist import BATCH_SIZE_BOUNDS, Histogram
 from repro.serve import DetectorService, ModelRegistry
 from repro.server import (
     DEADLINE_HEADER,
@@ -169,16 +170,10 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# Batcher: worker crashes, watchdog, deadlines, stuck shutdown
+# Batcher: faults outside the pass, deadlines, stuck shutdown
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings(
-    "ignore::pytest.PytestUnhandledThreadExceptionWarning")
 class TestBatcherResilience:
-    """Injected worker crashes print their tracebacks via the thread
-    excepthook — deliberate visibility, so the warning filter only mutes
-    pytest's meta-warning about them."""
-
     def _batcher(self, rng, service=None, **kwargs):
         graph = random_multiplex(24, 2, 4, rng)
         if service is None:
@@ -187,55 +182,37 @@ class TestBatcherResilience:
         defaults.update(kwargs)
         return graph, MicroBatcher(service, **defaults)
 
-    def test_crash_rescues_request_and_respawns_worker(self, rng):
-        graph, batcher = self._batcher(rng)
-        chaos.configure("batcher.worker", mode="error", count=1)
-        try:
-            future = batcher.submit(graph)
-            scores = future.result(timeout=10.0)
-            assert scores.size == graph.num_nodes
-            stats = batcher.stats
-            assert stats.worker_crashes == 1
-            assert stats.rescued == 1
-            # the watchdog put a fresh worker in the dead one's slot
-            deadline = time.monotonic() + 5.0
-            while stats.worker_respawns == 0 \
-                    and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert stats.worker_respawns >= 1
-        finally:
-            batcher.close()
-        assert batcher.stats.leaked_workers == 0
+    def test_bookkeeping_fault_fails_the_group_and_worker_lives(
+            self, rng, monkeypatch):
+        """A fault outside the scoring pass fails its group once; the
+        same worker thread answers the next request."""
+        class _FaultyHistogram(Histogram):
+            __slots__ = ("faults",)
 
-    def test_crash_loses_zero_accepted_requests(self, rng):
-        """Every accepted request is answered across a worker crash, and
-        the gateway's health stays green throughout."""
-        gateway = _gateway(rng, workers=2)
-        try:
-            graphs = [random_multiplex(16 + i, 2, 4, rng)
-                      for i in range(6)]
-            chaos.configure("batcher.worker", mode="error", count=1)
-            futures = [gateway.batcher.submit(g) for g in graphs]
-            for graph, future in zip(graphs, futures):
-                assert future.result(timeout=10.0).size == graph.num_nodes
-            assert gateway.batcher.stats.worker_crashes == 1
-            assert gateway.health()["status"] == "ok"
-        finally:
-            gateway.close()
+            def observe(self, value):
+                if self.faults:
+                    self.faults -= 1
+                    raise RuntimeError("bookkeeping fault")
+                super().observe(value)
 
-    def test_repeated_crashes_fail_the_group_not_the_process(self, rng):
         graph, batcher = self._batcher(rng)
-        chaos.configure("batcher.worker", mode="error", count=None)
+        threads = list(batcher._threads)
+        faulty = _FaultyHistogram(BATCH_SIZE_BOUNDS)
+        faulty.faults = 1
+        monkeypatch.setattr(batcher, "batch_sizes", faulty)
         try:
-            future = batcher.submit(graph)
-            with pytest.raises(chaos.ChaosError):
-                future.result(timeout=10.0)
-            # bounded requeues: initial attempt + _MAX_REQUEUES rescues
-            assert batcher.stats.worker_crashes == 4
+            with pytest.raises(RuntimeError, match="bookkeeping fault"):
+                batcher.submit(graph).result(timeout=10.0)
             assert batcher.queue_depth == 0
+            assert batcher.stats.failed == 1
+            assert batcher._threads == threads
+            assert all(thread.is_alive() for thread in threads)
+            scores = batcher.submit(graph).result(timeout=10.0)
+            assert scores.size == graph.num_nodes
+            assert batcher.stats.completed == 1
         finally:
-            chaos.reset()       # let the close sentinels through
-            batcher.close()
+            report = batcher.close()
+        assert report["leaked_workers"] == []
 
     def test_expired_deadline_is_rejected_at_admission(self, rng):
         graph, batcher = self._batcher(rng)
@@ -590,8 +567,8 @@ _CRASH_SCRIPT = textwrap.dedent("""\
 class TestSigkillRecovery:
     def test_recovered_state_matches_uninterrupted_run(self, tmp_path):
         from repro.stream import (IncrementalGraphBuilder, StreamMonitor,
-                                  WriteAheadLog, synthesize_stream,
-                                  verify_parity)
+                                  WriteAheadLog, open_monitor,
+                                  synthesize_stream, verify_parity)
 
         kill_at = 73        # 3 scored windows + 13 buffered: mid-batch
         script = tmp_path / "crashy.py"
@@ -615,8 +592,8 @@ class TestSigkillRecovery:
         reference.ingest(events)
 
         wal = WriteAheadLog(wal_dir)
-        resumed = StreamMonitor.recover(
-            DetectorService(_CheapDetector().fit(graph)), wal,
+        resumed = open_monitor(
+            DetectorService(_CheapDetector().fit(graph)), wal=wal,
             window=20, top_k=5, snapshot_every=3)
         assert resumed.recovered
         # every accepted event survived the SIGKILL: scored or pending

@@ -19,6 +19,7 @@ from repro.serve import (
     CheckpointError,
     DetectorService,
     ModelRegistry,
+    NonFiniteScoresError,
     ServiceError,
     load_checkpoint,
     read_header,
@@ -485,6 +486,27 @@ class TestDetectorService:
         assert service.stats.misses == 1
         assert service.stats.hits == len(results) - 1
         assert all(scores is results[0] for scores in results)
+
+    def test_non_finite_scores_are_never_cached(self, fitted_umgad, rng):
+        class _NonFinite:
+            def score_graph(self, graph):
+                scores = np.zeros(graph.num_nodes)
+                scores[[3, 5]] = (np.nan, np.inf)
+                return scores
+
+        graph = random_multiplex(30, 3, 16, rng)
+        executor = _StandInExecutor(_NonFinite())
+        service = DetectorService(fitted_umgad, executor=executor)
+        for _ in range(2):
+            with pytest.raises(NonFiniteScoresError,
+                               match=r"2 non-finite score\(s\) of 30, "
+                                     r"first at node 3"):
+                service.scores(graph)
+        # each request ran its own pass: nothing was cached
+        assert len(executor.calls) == 2
+        assert service.stats.misses == 2 and service.stats.hits == 0
+        assert len(service) == 0
+        assert not service.is_warm(graph_fingerprint(graph))
 
 
 class TestServiceCacheFootprint:

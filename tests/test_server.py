@@ -187,7 +187,6 @@ class TestMicroBatcher:
 
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0}, {"max_queue": 0}, {"linger_ms": -1.0},
-        {"max_batch": 0},
     ])
     def test_rejects_bad_knobs(self, counting_service, kwargs):
         with pytest.raises(ValueError):

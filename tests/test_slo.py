@@ -207,9 +207,8 @@ class TestRuntime:
             started = {thread.name for thread in threading.enumerate()
                        if thread not in before}
             assert "repro-runtime-sampler" not in started
-            # the batcher's workers and its watchdog, nothing else
-            assert started == {"repro-batcher-0", "repro-batcher-1",
-                               "repro-batcher-watchdog"}
+            # the batcher's two workers, nothing else
+            assert started == {"repro-batcher-0", "repro-batcher-1"}
         finally:
             gateway.close()
 
@@ -328,7 +327,7 @@ class TestGatewaySLO:
         service = DetectorService(FlatDetector())
         batcher = MicroBatcher(service, workers=1, linger_ms=0.0)
         try:
-            assert batcher.workers == 1
+            assert batcher.collect().health["workers"] == 1
             assert batcher.busy_seconds == 0.0
             rng = np.random.default_rng(1)
             graph = random_multiplex(10, 1, 4, rng)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.baselines import make_baseline
 from repro.cli import main as cli_main
 from repro.detection import BaseDetector
 from repro.graphs import (
@@ -14,7 +15,8 @@ from repro.graphs import (
     random_multiplex,
     save_multiplex,
 )
-from repro.serve import DetectorService
+from repro.serve import DetectorService, save_checkpoint
+from repro.server import Gateway, GatewayError
 from repro.stream import (
     AddEdge,
     AddNode,
@@ -589,6 +591,59 @@ class TestStreamCLI:
         out = capsys.readouterr().out
         assert "window   0" in out
         assert "stream done" in out
+
+    def test_wal_dir_rerun_resumes_without_rescoring(
+            self, checkpoint, tiny_dataset, tmp_path, capsys):
+        graph_path = tmp_path / "base.npz"
+        save_multiplex(graph_path, tiny_dataset.graph)
+        events, _ = synthesize_stream(
+            tiny_dataset.graph, 120, np.random.default_rng(0))
+        events_path = tmp_path / "events.jsonl"
+        write_events(events_path, events)
+        argv = ["stream", "--events", str(events_path),
+                "--model", str(checkpoint), "--graph", str(graph_path),
+                "--window", "50", "--wal-dir", str(tmp_path / "wal")]
+
+        assert cli_main(argv) == 0
+        first = capsys.readouterr().out
+        assert "recovered from" not in first
+        assert "window   2" in first
+        assert "stream done: 120 events in 3 windows" in first
+
+        assert cli_main(argv) == 0
+        rerun = capsys.readouterr().out
+        assert "recovered from" in rerun
+        assert "skipping the first 120 event(s)" in rerun
+        # every event was consumed by the first run: no window is scored
+        # twice, and the service is never asked for scores
+        assert "window " not in rerun.replace("windows", "")
+        assert "stream done: 120 events in 3 windows" in rerun
+        assert "cache 0 hit(s) / 0 miss(es)" in rerun
+
+    def test_missing_schema_is_one_error_for_both_callers(
+            self, tiny_dataset, tmp_path, capsys):
+        detector = make_baseline("Radar", seed=0).fit(tiny_dataset.graph)
+        model = save_checkpoint(tmp_path / "radar.npz", detector,
+                                graph=tiny_dataset.graph)
+        events_path = tmp_path / "events.jsonl"
+        write_events(events_path, bootstrap_events(tiny_dataset.graph))
+        code = cli_main(["stream", "--events", str(events_path),
+                         "--model", str(model),
+                         "--wal-dir", str(tmp_path / "wal")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "records no relation schema" in err
+
+        gateway = Gateway(DetectorService(model))
+        try:
+            with pytest.raises(GatewayError,
+                               match="records no relation schema") as excinfo:
+                gateway.ingest_events({"events": [
+                    {"op": "add_edge", "rel": "a", "u": 0, "v": 1}]})
+            assert excinfo.value.status == 409
+        finally:
+            gateway.close()
 
     def test_stream_missing_events_file_is_one_line_error(
             self, checkpoint, capsys):

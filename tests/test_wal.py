@@ -16,15 +16,20 @@ import zlib
 import numpy as np
 import pytest
 
+from repro import chaos
 from repro.detection import BaseDetector
 from repro.graphs import graph_fingerprint, random_multiplex
 from repro.serve import DetectorService
 from repro.stream import (
+    AddEdge,
+    AddNode,
     IncrementalGraphBuilder,
     StreamMonitor,
+    UpdateAttr,
     WalCorruptionError,
     WriteAheadLog,
     load_latest_snapshot,
+    open_monitor,
     recover_builder,
     save_snapshot,
     snapshot_meta,
@@ -431,8 +436,8 @@ class TestRecovery:
         # recover, feed the remainder: final state matches the reference
         wal2 = WriteAheadLog(tmp_path, fsync=False)
         service = DetectorService(_NormDetector().fit(graph))
-        resumed = StreamMonitor.recover(service, wal2, window=20,
-                                        top_k=5, snapshot_every=3)
+        resumed = open_monitor(service, wal=wal2, window=20, top_k=5,
+                               snapshot_every=3)
         assert resumed.recovered
         # recovery replays events without scoring them
         assert service.stats.requests == 0
@@ -462,6 +467,36 @@ class TestRecovery:
             [r.fingerprint for r in plain_reports]
         assert logged.service.stats.to_dict() == \
             plain.service.stats.to_dict()
+
+    def test_failed_window_applies_its_events_once(self, tmp_path, rng):
+        """A window whose scoring raises has applied its events; the next
+        window must not apply them again, and the WAL stays recoverable."""
+        graph = random_multiplex(30, 2, 4, rng, avg_degree=3.0)
+        relation = graph.relation_names[0]
+        events = [AddNode(rng.normal(size=4)), AddNode(rng.normal(size=4)),
+                  AddEdge(relation, 0, 30), AddEdge(relation, 1, 31),
+                  AddEdge(relation, 2, 3), AddEdge(relation, 4, 5),
+                  UpdateAttr(6, rng.normal(size=4)),
+                  AddEdge(relation, 7, 8)]
+        wal = WriteAheadLog(tmp_path, fsync=False)
+        live = _monitor(graph, wal=wal, window=4)
+        chaos.configure("service.score", count=1)
+        try:
+            with pytest.raises(chaos.ChaosError):
+                live.ingest(events[:4])
+        finally:
+            chaos.reset()
+        assert live.buffered == 0
+        live.ingest(events[4:])
+        assert live.builder.num_nodes == 32
+        assert live.events_consumed == 8
+        wal.close()
+
+        wal2 = WriteAheadLog(tmp_path, fsync=False)
+        state = recover_builder(wal2)
+        assert state.builder.fingerprint() == live.builder.fingerprint()
+        assert state.pending == []
+        wal2.close()
 
     def test_clean_checkpoint_replays_nothing(self, tmp_path, rng):
         graph = random_multiplex(30, 2, 4, rng, avg_degree=3.0)
