@@ -9,14 +9,14 @@ each baseline file reads as its mechanism only.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..autograd import ops, spmm
 from ..autograd.tensor import Tensor
-from ..engine import BatchStrategy, GradClip, Trainer, TrainState
+from ..engine import GradClip, Trainer, TrainState
 from ..graphs.graph import RelationGraph
 from ..graphs.multiplex import MultiplexGraph
 from ..nn import Adam, GCNConv, Linear, Module, ModuleList
@@ -108,22 +108,13 @@ class MLP(Module):
         return h
 
 
-def train_detector(model: Module, loss_fn: Callable, epochs: int, lr: float,
-                   grad_clip: float = 5.0, weight_decay: float = 0.0,
-                   callbacks=(), batch_strategy: Optional[BatchStrategy] = None,
-                   graph: Optional[MultiplexGraph] = None,
-                   timer=None) -> TrainState:
-    """Train a baseline on the shared engine; returns full telemetry.
-
-    ``loss_fn`` may be the historical zero-arg closure (full-batch) or take
-    a :class:`~repro.engine.GraphBatch` when ``batch_strategy`` samples
-    subgraphs (``graph`` is required then).
-    """
-    optimizer = Adam(model.parameters(), lr=lr, weight_decay=weight_decay)
-    cbs = ([GradClip(grad_clip)] if grad_clip else []) + list(callbacks)
-    trainer = Trainer(model, optimizer, batch_strategy=batch_strategy,
-                      callbacks=cbs, timer=timer)
-    return trainer.fit(graph, loss_fn, epochs)
+def train_detector(model: Module, loss_fn: Callable, epochs: int,
+                   lr: float) -> TrainState:
+    """Train a baseline full-batch on the shared engine; returns its
+    telemetry. ``loss_fn`` is a zero-arg closure over the full graph."""
+    trainer = Trainer(model, Adam(model.parameters(), lr=lr),
+                      callbacks=[GradClip(5.0)])
+    return trainer.fit(None, lambda batch: loss_fn(), epochs)
 
 
 # ---------------------------------------------------------------------------

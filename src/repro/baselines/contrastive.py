@@ -130,7 +130,6 @@ class CoLA(BaseDetector):
             return _bce_pair(pos, neg)
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
 
         with no_grad():
             h = ops.row_normalize(net.encoder(x, prop))
@@ -192,7 +191,6 @@ class ANEMONE(BaseDetector):
                            ops.mul(context_term, 1.0 - self.gamma))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
 
         h = ops.row_normalize(net.encoder(x, prop))
         p = ops.row_normalize(net.patch_proj(patch_raw))
@@ -262,7 +260,6 @@ class SubCR(BaseDetector):
                            ops.mul(recon, 1.0 - self.balance))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
 
         h = ops.row_normalize(net.encoder(x, prop))
         l = ops.row_normalize(net.local_proj(local_raw))
@@ -312,7 +309,6 @@ class ARISE(BaseDetector):
         cola.fit(graph)
         contrast = cola.decision_scores()
         self.train_state = cola.train_state
-        self.loss_history = list(cola.loss_history)
 
         self._scores = (self.balance * substructure
                         + (1.0 - self.balance) * minmax(contrast))
@@ -364,7 +360,6 @@ class SLGAD(BaseDetector):
                            ops.mul(con, 1.0 - self.balance))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
 
         with no_grad():
             h = net.encoder(context, prop)
@@ -418,7 +413,6 @@ class PREM(BaseDetector):
             return _bce_pair(pos, neg)
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
         hn = ops.row_normalize(net.node_proj(x)).data
         he = ops.row_normalize(net.ego_proj(ego)).data
         match = (hn * he).sum(axis=1)
@@ -466,7 +460,6 @@ class GCCAD(BaseDetector):
             return _bce_pair(pos, neg)
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
         h = ops.row_normalize(net.encoder(x, prop)).data
         context = h.mean(axis=0)
         context /= np.linalg.norm(context) + 1e-12
@@ -526,7 +519,6 @@ class GRADATE(BaseDetector):
                            ops.mul(ss, 1.0 - self.balance))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
 
         h1 = ops.row_normalize(net.encoder(x, prop1))
         p1 = ops.row_normalize(net.readout_proj(r1))
@@ -583,7 +575,6 @@ class VGOD(BaseDetector):
                            ops.mul(recon, 1.0 - self.balance))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
 
         h = net.encoder(x, prop).data
         src, dst = merged.directed_pairs()

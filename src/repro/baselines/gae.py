@@ -83,7 +83,6 @@ class DOMINANT(BaseDetector):
                 ops.mul(structure_bce_loss(z, merged, rng), 1.0 - self.alpha))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
         with no_grad():
             z = net.encoder(x, prop)
             x_rec = net.decoder(z, prop)
@@ -137,7 +136,6 @@ class GCNAE(BaseDetector):
             return ops.add(recon, ops.mul(kl, self.kl_weight))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
         with no_grad():
             h = ops.relu(net.base(x, prop))
             mu = net.mu_head(h, prop)
@@ -186,7 +184,6 @@ class AnomalyDAE(BaseDetector):
                            ops.mul(struct, 1.0 - self.alpha))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
         with no_grad():
             z_s = net.struct_encoder(x, prop)
             z_a = net.attr_encoder(x)
@@ -254,7 +251,6 @@ class AdONE(BaseDetector):
             return ops.mean(ops.mul(w, ops.add(attr_err, hom_err)))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
         o = net.outlier_logits.data
         self._scores = minmax(o)
         return self
@@ -302,7 +298,6 @@ class GADNR(BaseDetector):
                            ops.mul(neigh_err, w_neigh))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
         with no_grad():
             z = net.encoder(x, prop)
             self_err = np.linalg.norm(net.self_decoder(z).data - graph.x,
@@ -383,7 +378,6 @@ class ADAGAD(BaseDetector):
                                       max(5, self.epochs // 2), self.lr)
         self.train_state = TrainState.concat([pre_state, stage1_state,
                                               stage2_state])
-        self.loss_history = self.train_state.loss_history
 
         with no_grad():
             x_rec = net.decoder(frozen_z, prop).data

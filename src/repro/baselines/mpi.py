@@ -87,7 +87,6 @@ class ComGA(BaseDetector):
                 ops.mul(structure_bce_loss(z, merged, rng), 1.0 - self.alpha))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
         with no_grad():
             z = net.encoder(x, prop).data
             x_rec = net.attr_decoder(net.encoder(x, prop), prop).data

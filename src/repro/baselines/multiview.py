@@ -85,7 +85,6 @@ class AnomMAN(BaseDetector):
                            ops.mul(total, 1.0 - self.alpha))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
 
         att = np.exp(net.attention.data - net.attention.data.max())
         att /= att.sum()
@@ -177,7 +176,6 @@ class DualGAD(BaseDetector):
                            ops.mul(margin, 1.0 - self.balance))
 
         self.train_state = train_detector(net, loss_fn, self.epochs, self.lr)
-        self.loss_history = self.train_state.loss_history
 
         z = embed(masked=False)
         recon_err = np.linalg.norm(net.decoder(z).data - graph.x, axis=1)

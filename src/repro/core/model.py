@@ -45,7 +45,6 @@ from ..engine import (
     GradClip,
     ProgressLogger,
     Trainer,
-    TrainState,
     make_batch_strategy,
 )
 from ..graphs.masking import attribute_mask, attribute_swap, edge_mask, subgraph_mask
@@ -126,9 +125,6 @@ class UMGAD(BaseDetector):
     def __init__(self, config: Optional[UMGADConfig] = None):
         self.config = config or UMGADConfig()
         self.networks: Optional[_Networks] = None
-        self.loss_history: List[float] = []
-        self.loss_components: List[Dict[str, float]] = []
-        self.train_state: Optional[TrainState] = None
         self.timer = Timer()
         self._scores: Optional[np.ndarray] = None
         self._graph: Optional[MultiplexGraph] = None
@@ -168,12 +164,9 @@ class UMGAD(BaseDetector):
                 batches_per_epoch=cfg.batches_per_epoch,
                 walk_size=cfg.batch_walk_size, restart_prob=cfg.rwr_restart,
                 seed=cfg.seed),
-            callbacks=callbacks, timer=self.timer)
-        state = trainer.fit(graph, lambda batch: self._epoch_loss(batch.graph),
-                            cfg.epochs)
-        self.train_state = state
-        self.loss_history = state.loss_history
-        self.loss_components = state.loss_components
+            callbacks=callbacks)
+        self.train_state = trainer.fit(
+            graph, lambda batch: self._epoch_loss(batch.graph), cfg.epochs)
 
         # The training graph is scored at the weights' own dtype, so the
         # fitted scores do not depend on score_graph's inference precision.

@@ -86,6 +86,19 @@ def _sample_adjacency(adj: sp.csr_matrix, rows: np.ndarray,
         return np.asarray(adj[rows, cols]).ravel()
 
 
+def _unit_rows(decoded: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm, in ``decoded``'s dtype.
+
+    The norms and the division run in float64: a float32 row's squares
+    overflow once its entries pass ~1e19, far inside float32's range,
+    which would flatten the row to zero. On float64 input nothing is
+    copied and every bit is unchanged.
+    """
+    wide = decoded.astype(np.float64, copy=False)
+    unit = wide / (np.linalg.norm(wide, axis=1, keepdims=True) + 1e-12)
+    return unit.astype(decoded.dtype, copy=False)
+
+
 def minmax_normalize(values: np.ndarray) -> np.ndarray:
     """Scale to [0, 1]; constant input maps to zeros."""
     values = np.asarray(values, dtype=np.float64)
@@ -105,7 +118,11 @@ def attribute_errors(reconstructed: np.ndarray, original: np.ndarray,
     scale-invariant, which matters for camouflaged anomalies whose feature
     *norms* shrink toward the global mean: Euclidean error under-scores
     exactly those nodes (README, "Deviations from the paper", item 2).
+    Both run in float64 whatever the input dtype, so a float32 row's
+    squares and products cannot overflow (as :func:`_unit_rows`).
     """
+    reconstructed = reconstructed.astype(np.float64, copy=False)
+    original = original.astype(np.float64, copy=False)
     if metric == "euclidean":
         return np.linalg.norm(reconstructed - original, axis=1)
     if metric == "cosine":
@@ -127,7 +144,7 @@ def structure_errors_exact(decoded: np.ndarray, graph: RelationGraph,
                            block_size: int = 1024) -> np.ndarray:
     """Mean absolute error between ``σ(z zᵀ)`` rows and adjacency rows."""
     n = graph.num_nodes
-    z = decoded / (np.linalg.norm(decoded, axis=1, keepdims=True) + 1e-12)
+    z = _unit_rows(decoded)
     adj = graph.adjacency(decoded.dtype)
     errors = np.empty(n, dtype=np.float64)
     for start in range(0, n, block_size):
@@ -183,7 +200,7 @@ def _sampled_kernel(decoded: np.ndarray, graph: RelationGraph,
     (:func:`draw_negatives`)."""
     n = graph.num_nodes
     negatives_per_node = neg_cols.shape[0]
-    z = decoded / (np.linalg.norm(decoded, axis=1, keepdims=True) + 1e-12)
+    z = _unit_rows(decoded)
     adj = graph.adjacency(decoded.dtype)
 
     # Every row gather below writes into one of two preallocated (n, f)

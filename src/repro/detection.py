@@ -13,7 +13,7 @@ paper's two protocols:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .graphs.multiplex import MultiplexGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from .core.threshold import ThresholdResult
+    from .engine import TrainState
 
 
 class BaseDetector:
@@ -29,12 +30,29 @@ class BaseDetector:
     #: set by subclasses once :meth:`fit` finishes
     _scores: Optional[np.ndarray] = None
 
+    #: the :class:`~repro.engine.TrainState` of the last engine-trained
+    #: fit; ``None`` for detectors that train no network (and for
+    #: detectors loaded from a checkpoint)
+    train_state: Optional["TrainState"] = None
+
     #: (scores array, window, result) of the last threshold selection;
     #: keyed by identity so a refit (new scores array) invalidates it
     _threshold_cache: Optional[Tuple[np.ndarray, Optional[int], "ThresholdResult"]] = None
 
     def fit(self, graph: MultiplexGraph) -> "BaseDetector":  # pragma: no cover
         raise NotImplementedError
+
+    @property
+    def loss_history(self) -> List[float]:
+        """Per-epoch training loss, read from :attr:`train_state`."""
+        state = self.train_state
+        return state.loss_history if state is not None else []
+
+    @property
+    def loss_components(self) -> List[Dict[str, float]]:
+        """Per-epoch loss components, read from :attr:`train_state`."""
+        state = self.train_state
+        return state.loss_components if state is not None else []
 
     def decision_scores(self) -> np.ndarray:
         """Per-node anomaly scores from the last :meth:`fit` call."""

@@ -1,9 +1,10 @@
 """Unified training engine shared by UMGAD and every learned baseline.
 
-* :class:`Trainer` / :class:`TrainState` — the epoch/batch loop and its
-  telemetry (loss history, component losses, timings, stop reason).
+* :class:`Trainer` / :class:`TrainState` — the epoch/batch loop, which
+  calls ``loss_fn(batch)`` once per batch, and the one record of what it
+  did (loss history, component losses, epoch timings, stop reason).
 * :class:`Callback` hooks — :class:`GradClip`, :class:`EarlyStopping`,
-  :class:`LRSchedule`, :class:`ProgressLogger`.
+  :class:`ProgressLogger`.
 * Batch strategies — :class:`FullGraphBatches` (default, numerically
   identical to the historical full-batch loops) and
   :class:`SubgraphBatches` (RWR-sampled node-induced multiplex minibatches
@@ -21,7 +22,6 @@ from .trainer import (
     Callback,
     EarlyStopping,
     GradClip,
-    LRSchedule,
     ProgressLogger,
     Trainer,
     TrainState,
@@ -34,7 +34,6 @@ __all__ = [
     "FullGraphBatches",
     "GradClip",
     "GraphBatch",
-    "LRSchedule",
     "ProgressLogger",
     "SubgraphBatches",
     "Trainer",

@@ -66,9 +66,6 @@ class BatchStrategy:
                 epoch: int) -> Iterator[GraphBatch]:  # pragma: no cover
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class FullGraphBatches(BatchStrategy):
     """The historical behavior: every epoch is one pass over the whole
@@ -76,9 +73,6 @@ class FullGraphBatches(BatchStrategy):
 
     def batches(self, graph: MultiplexGraph, epoch: int) -> Iterator[GraphBatch]:
         yield GraphBatch(graph=graph, nodes=None, index=0, epoch=epoch)
-
-    def describe(self) -> str:
-        return "full"
 
 
 class SubgraphBatches(BatchStrategy):
@@ -118,10 +112,6 @@ class SubgraphBatches(BatchStrategy):
         self.walk_size = int(walk_size)
         self.restart_prob = float(restart_prob)
         self.seed = int(seed if seed is not None else 0)
-
-    def describe(self) -> str:
-        return (f"subgraph(batch_size={self.batch_size}, "
-                f"batches_per_epoch={self.batches_per_epoch})")
 
     # ------------------------------------------------------------------
     def sample_nodes(self, graph: MultiplexGraph,

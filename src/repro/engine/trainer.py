@@ -6,23 +6,21 @@ timing) and a bare loop the baselines shared (none of that). The
 :class:`Trainer` consolidates them, and the baselines reach it through
 :func:`repro.baselines.common.train_detector`: one epoch/batch loop, a
 pluggable :class:`~repro.engine.batching.BatchStrategy`, and
-:class:`Callback` hooks for gradient clipping, early stopping,
-learning-rate schedules and progress logging. Telemetry (loss history, per-component losses, epoch
-timings, stop reason) accumulates in a :class:`TrainState` that callers
-keep — serving refits report it, experiments plot it.
+:class:`Callback` hooks for gradient clipping, early stopping and
+progress logging. Telemetry (loss history, per-component losses, epoch
+timings, stop reason) accumulates in a :class:`TrainState`, the one
+record of what training did: detectors keep it as ``train_state``,
+serving refits report it, experiments plot it.
 
-The loss callable may take zero arguments (a closure over the full graph —
-the historical baseline style) or one argument (a
-:class:`~repro.engine.batching.GraphBatch` — required for minibatch
-strategies), and may return either a loss :class:`Tensor` or a
-``(loss, components)`` pair where ``components`` is a ``str → float`` dict.
+The loss callable takes one argument, a
+:class:`~repro.engine.batching.GraphBatch`, and returns either a loss
+:class:`Tensor` or a ``(loss, components)`` pair where ``components`` is
+a ``str → float`` dict.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -33,7 +31,6 @@ from ..graphs.multiplex import MultiplexGraph
 from ..nn.module import Module
 from ..nn.optim import Optimizer
 from ..obs.trace import span
-from ..utils.timer import Timer
 from .batching import BatchStrategy, FullGraphBatches, GraphBatch
 
 
@@ -94,13 +91,6 @@ class TrainState:
 class Callback:
     """Hook points around the training loop. All default to no-ops."""
 
-    def on_fit_start(self, trainer: "Trainer", state: TrainState) -> None:
-        pass
-
-    def on_epoch_start(self, trainer: "Trainer", state: TrainState,
-                       epoch: int) -> None:
-        pass
-
     def after_backward(self, trainer: "Trainer", state: TrainState,
                        batch: GraphBatch) -> None:
         """Runs between ``loss.backward()`` and ``optimizer.step()``."""
@@ -150,24 +140,6 @@ class EarlyStopping(Callback):
                     print(state.stop_reason)
 
 
-class LRSchedule(Callback):
-    """Set the optimiser's learning rate per epoch.
-
-    ``schedule`` maps ``(epoch, base_lr) -> lr``; the base rate is whatever
-    the optimiser was constructed with.
-    """
-
-    def __init__(self, schedule: Callable[[int, float], float]):
-        self.schedule = schedule
-        self._base_lr: Optional[float] = None
-
-    def on_fit_start(self, trainer, state) -> None:
-        self._base_lr = trainer.optimizer.lr
-
-    def on_epoch_start(self, trainer, state, epoch) -> None:
-        trainer.optimizer.lr = float(self.schedule(epoch, self._base_lr))
-
-
 class ProgressLogger(Callback):
     """Print the epoch loss (and components) every ``every`` epochs,
     matching the historical ``UMGAD.fit(verbose=True)`` format."""
@@ -197,36 +169,17 @@ class Trainer:
         which reproduces the historical full-batch loops exactly.
     callbacks:
         :class:`Callback` instances, invoked in order at each hook.
-    timer:
-        Optional :class:`~repro.utils.timer.Timer`; epochs are recorded
-        under the span name ``"epoch"`` (what Fig. 7 reads).
     """
 
     def __init__(self, model: Module, optimizer: Optimizer, *,
                  batch_strategy: Optional[BatchStrategy] = None,
-                 callbacks: Sequence[Callback] = (),
-                 timer: Optional[Timer] = None):
+                 callbacks: Sequence[Callback] = ()):
         self.model = model
         self.optimizer = optimizer
         self.batch_strategy = batch_strategy or FullGraphBatches()
         self.callbacks: List[Callback] = list(callbacks)
-        self.timer = timer
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _adapt_loss_fn(loss_fn: Callable) -> tuple:
-        """Accept both zero-arg closures and batch-aware callables.
-
-        Returns ``(fn, takes_batch)`` where ``fn`` always takes the batch.
-        """
-        try:
-            takes_batch = bool(inspect.signature(loss_fn).parameters)
-        except (TypeError, ValueError):  # builtins / odd callables
-            takes_batch = True
-        if takes_batch:
-            return loss_fn, True
-        return (lambda batch: loss_fn()), False
-
     @staticmethod
     def _split_result(result) -> tuple:
         """Normalise ``loss`` / ``(loss, components)`` returns."""
@@ -240,42 +193,27 @@ class Trainer:
             epochs: int) -> TrainState:
         """Run up to ``epochs`` epochs; returns the accumulated state.
 
-        ``graph`` may be ``None`` only with a full-graph strategy and a
-        zero-arg ``loss_fn`` (legacy closures that captured everything).
+        ``loss_fn(batch)`` is called once per batch. ``graph`` may be
+        ``None`` only with the full-graph strategy, whose one batch then
+        carries no graph.
         """
         state = TrainState()
-        fn, takes_batch = self._adapt_loss_fn(loss_fn)
-        full_batch = isinstance(self.batch_strategy, FullGraphBatches)
-        if not full_batch:
-            if graph is None:
-                raise ValueError(
-                    "minibatch strategies need the training graph; pass graph=")
-            if not takes_batch:
-                # A zero-arg closure captured the full graph; running it per
-                # minibatch would silently train full-batch while reporting
-                # subgraph telemetry.
-                raise ValueError(
-                    f"{self.batch_strategy.describe()} needs a batch-aware "
-                    "loss_fn (taking a GraphBatch); a zero-arg closure would "
-                    "ignore the sampled subgraphs")
-        for callback in self.callbacks:
-            callback.on_fit_start(self, state)
+        if graph is None and \
+                not isinstance(self.batch_strategy, FullGraphBatches):
+            raise ValueError(
+                "minibatch strategies need the training graph; pass graph=")
 
         for epoch in range(int(epochs)):
-            for callback in self.callbacks:
-                callback.on_epoch_start(self, state, epoch)
             start = time.perf_counter()
             batch_losses: List[float] = []
             parts_sum: Dict[str, float] = {}
             # enable_grad: training must record the tape even when the fit
             # runs inside an ambient no_grad() region (e.g. a
             # drift-triggered refit launched from a scoring loop).
-            with (self.timer.measure("epoch") if self.timer is not None
-                  else nullcontext()), enable_grad(), \
-                    span("train.epoch") as epoch_span:
+            with enable_grad(), span("train.epoch") as epoch_span:
                 epoch_span.set("epoch", epoch)
                 for batch in self.batch_strategy.batches(graph, epoch):
-                    loss, parts = self._split_result(fn(batch))
+                    loss, parts = self._split_result(loss_fn(batch))
                     self.optimizer.zero_grad()
                     if loss.requires_grad:
                         loss.backward()

@@ -30,7 +30,6 @@ serialized config and loads the full state dict, which is what lets
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import pathlib
 import zipfile
@@ -373,7 +372,9 @@ def detector_from_payload(header: Dict[str, object],
         detector._scores = arrays["_scores"]
     else:
         cls = classes[cls_name]
-        init_names = set(inspect.signature(cls.__init__).parameters)
+        code = cls.__init__.__code__
+        init_names = set(
+            code.co_varnames[:code.co_argcount + code.co_kwonlyargcount])
         kwargs = dict(header.get("kwargs", {}))
         detector = cls(**{k: v for k, v in kwargs.items() if k in init_names})
         for attr, value in kwargs.items():

@@ -194,32 +194,13 @@ class DetectorService:
                 fingerprint = graph_fingerprint(trained_graph)
         return fingerprint
 
-    @staticmethod
-    def _training_telemetry(detector: BaseDetector,
-                            train_state=None) -> Tuple[int, float]:
-        """(epochs, seconds) a refit spent training, best effort.
-
-        Engine-trained detectors carry a :class:`repro.engine.TrainState`
-        (``train_state`` attribute) with exact numbers; otherwise fall back
-        to ``loss_history`` length and the detector's epoch timer.
-        """
-        state = train_state if train_state is not None else \
-            getattr(detector, "train_state", None)
-        if state is not None:
-            return int(state.epochs_run), float(state.total_seconds)
-        history = getattr(detector, "loss_history", None) or []
-        timer = getattr(detector, "timer", None)
-        seconds = float(timer.total("epoch")) if timer is not None else 0.0
-        return len(history), seconds
-
-    def replace_detector(self, detector: BaseDetector,
-                         train_state=None) -> Tuple[int, float]:
+    def replace_detector(self, detector: BaseDetector) -> Tuple[int, float]:
         """Hot-swap the served detector (e.g. after a drift-triggered refit).
 
         Clears the result cache — cached entries belong to the old
         detector — and re-derives the trained-graph fingerprint from the
         new one. The refit's training cost (epochs / wall-clock seconds,
-        from ``train_state`` or the detector's own engine telemetry) is
+        from the detector's ``train_state``; ``(0, 0.0)`` without one) is
         accumulated into :class:`ServiceStats` and returned, so callers
         (the stream monitor's refit alerts) can report the per-refit cost
         without diffing the cumulative stats.
@@ -228,7 +209,9 @@ class DetectorService:
             raise TypeError(
                 f"replace_detector needs a fitted BaseDetector, got "
                 f"{type(detector).__name__}")
-        epochs, seconds = self._training_telemetry(detector, train_state)
+        state = detector.train_state
+        epochs, seconds = ((int(state.epochs_run), float(state.total_seconds))
+                           if state is not None else (0, 0.0))
         fingerprint = self._infer_trained_fingerprint(detector)
         with self._lock:
             self._generation += 1

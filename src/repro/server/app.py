@@ -23,8 +23,10 @@ may supply the header to pick the id themselves.
 Error contract: every failure is an HTTP response with a JSON
 ``{"error": ...}`` body — 400 malformed payloads, 404 unknown resources,
 409 requests the loaded model cannot answer, 429 admission-queue overflow,
-503 shutdown/timeout, 500 bugs. Overload never silently drops a
-connection; the 429 path is exercised by ``tests/test_server.py``.
+503 shutdown/timeout, 500 bugs. A failed ``POST /v1/events`` adds
+``accepted``, the count of the batch's events that were kept. Overload
+never silently drops a connection; the 429 path is exercised by
+``tests/test_server.py``.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ class ServerHandler(BaseHTTPRequestHandler):
         try:
             status, payload = handler()
         except GatewayError as exc:
-            status, payload = exc.status, {"error": str(exc)}
+            status, payload = exc.status, {"error": str(exc), **exc.fields}
         except AdmissionError as exc:
             status, payload = exc.status, {"error": str(exc)}
         except DeadlineExceeded as exc:

@@ -30,10 +30,14 @@ class ServerClientError(RuntimeError):
     """A non-2xx response from the serving gateway."""
 
     def __init__(self, status: int, message: str,
-                 trace_id: Optional[str] = None):
+                 trace_id: Optional[str] = None,
+                 body: Optional[dict] = None):
         super().__init__(f"HTTP {status}: {message}")
         self.status = int(status)
         self.message = message
+        #: the decoded JSON error body (``{"error": ...}`` plus any extra
+        #: fields, e.g. ``accepted`` on a failed ``events`` call)
+        self.body = body or {}
         #: server-side trace id of the failed request, when traced —
         #: look it up via ``client.traces(trace_id=...)``
         self.trace_id = trace_id
@@ -198,10 +202,10 @@ class ServerClient:
         else:
             data = raw.decode("utf-8")
         if status >= 400 and status not in accept_statuses:
-            message = data.get("error", str(data)) \
-                if isinstance(data, dict) else str(data)
+            body = data if isinstance(data, dict) else None
+            message = body.get("error", str(data)) if body else str(data)
             raise ServerClientError(status, message,
-                                    trace_id=self.last_trace_id)
+                                    trace_id=self.last_trace_id, body=body)
         return data
 
     # ------------------------------------------------------------------
@@ -254,7 +258,9 @@ class ServerClient:
             payload["flush"] = True
         # NOT idempotent: a reset after the server ingested the batch
         # would double-apply every event on resend. Surface the error and
-        # let the caller decide (the WAL makes server-side state durable).
+        # let the caller decide (the WAL makes server-side state durable);
+        # a failed batch's error body carries ``accepted``, the count of
+        # its events the server kept, so resend ``events[accepted:]``.
         return self._request("POST", "/v1/events", payload,
                              idempotent=False)
 

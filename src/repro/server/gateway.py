@@ -57,11 +57,14 @@ _STALE_CACHE_SIZE = 64
 
 
 class GatewayError(RuntimeError):
-    """A request the gateway refuses, with the HTTP status to send."""
+    """A request the gateway refuses, with the HTTP status to send and
+    any extra ``fields`` for the error body."""
 
-    def __init__(self, message: str, status: int = 400):
+    def __init__(self, message: str, status: int = 400,
+                 fields: Optional[dict] = None):
         super().__init__(message)
         self.status = int(status)
+        self.fields = dict(fields or {})
 
 
 class Gateway:
@@ -176,9 +179,10 @@ class Gateway:
         self.breaker = CircuitBreaker(failure_threshold=breaker_failures,
                                       reset_timeout=breaker_reset_seconds)
         self._stale_lock = threading.Lock()
-        #: last known-good scores per fingerprint (LRU-bounded): the
-        #: degraded-mode answer while a breaker is open
-        self._stale_scores: "OrderedDict[str, object]" = OrderedDict()
+        #: last known-good (model swaps seen, scores) per fingerprint
+        #: (LRU-bounded): the degraded-mode answer while a breaker is open,
+        #: valid only until the next swap of the served detector
+        self._stale_scores: "OrderedDict[str, tuple]" = OrderedDict()
         self._degraded_served = 0
         self._started = time.monotonic()
         if wal_dir is not None:
@@ -295,6 +299,9 @@ class Gateway:
             else:
                 deadline = (time.monotonic() + float(deadline_ms) / 1e3
                             if deadline_ms is not None else None)
+                # Read before submitting: a pass that races a swap is then
+                # never kept as the new model's stale answer.
+                swaps = self.service.stats.refits
                 # AdmissionError (429/503) and DeadlineExceeded (504)
                 # propagate to the HTTP layer as-is.
                 future = self.batcher.submit(graph, fingerprint,
@@ -321,7 +328,7 @@ class Gateway:
                     self.breaker.record_failure(fingerprint)
                     raise
                 self.breaker.record_success(fingerprint)
-                self._stale_store(fingerprint, scores)
+                self._stale_store(fingerprint, swaps, scores)
                 batch_info = getattr(future, "obs_batch", None)
                 if batch_info is not None:
                     annotate("batch_size", batch_info["batch_size"])
@@ -348,20 +355,29 @@ class Gateway:
                               top_k=top_k, threshold=threshold,
                               degraded=degraded)
 
-    def _stale_store(self, fingerprint: str, scores) -> None:
-        """Remember the last known-good scores for degraded answers."""
+    def _stale_store(self, fingerprint: str, swaps: int, scores) -> None:
+        """Remember the last known-good scores for degraded answers,
+        tagged with the number of detector swaps seen when the request
+        was submitted."""
         with self._stale_lock:
-            self._stale_scores[fingerprint] = scores
+            self._stale_scores[fingerprint] = (swaps, scores)
             self._stale_scores.move_to_end(fingerprint)
             while len(self._stale_scores) > _STALE_CACHE_SIZE:
                 self._stale_scores.popitem(last=False)
 
     def _stale_lookup(self, fingerprint: str):
+        """The stale scores of ``fingerprint``, or ``None`` when there are
+        none or they belong to a detector that has since been swapped out
+        (``activate`` or a stream refit)."""
         with self._stale_lock:
-            scores = self._stale_scores.get(fingerprint)
-            if scores is not None:
-                self._stale_scores.move_to_end(fingerprint)
-            return scores
+            entry = self._stale_scores.get(fingerprint)
+            if entry is None:
+                return None
+            if entry[0] != self.service.stats.refits:
+                del self._stale_scores[fingerprint]
+                return None
+            self._stale_scores.move_to_end(fingerprint)
+            return entry[1]
 
     def _threshold_for(self, fingerprint: str, scores):
         """Threshold consistent with the exact ``scores`` being returned.
@@ -408,15 +424,23 @@ class Gateway:
 
         with self._monitor_lock:
             monitor = self._ensure_monitor()
+            logged = monitor.events_logged
             try:
                 reports = monitor.ingest(events)
                 if payload.get("flush"):
                     tail = monitor.flush()
                     if tail is not None:
                         reports.append(tail)
-            except (ValueError, ServiceError) as exc:
-                raise GatewayError(f"event stream rejected: {exc}",
-                                   409) from None
+            except Exception as exc:
+                # Events logged before the failure stay logged and applied:
+                # say how many, so the client resends events[accepted:].
+                fields = {"accepted": monitor.events_logged - logged}
+                if isinstance(exc, (ValueError, ServiceError)):
+                    raise GatewayError(f"event stream rejected: {exc}", 409,
+                                       fields) from None
+                raise GatewayError(
+                    f"internal error: {type(exc).__name__}: {exc}", 500,
+                    fields) from exc
             return {
                 "accepted": len(events),
                 "reports": [report.to_dict() for report in reports],

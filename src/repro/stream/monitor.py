@@ -313,6 +313,10 @@ class StreamMonitor:
         self.windows_scored = 0
         self.events_consumed = 0
         self.alerts_raised = 0
+        #: events :meth:`ingest` has logged (with a WAL) and buffered since
+        #: this monitor was built; a caller whose batch raised reads how
+        #: much of it was kept from the difference
+        self.events_logged = 0
         #: recent reports only (bounded like score history) — long-running
         #: monitors must not grow linearly in windows scored; callers that
         #: need every report keep the ones run()/ingest() hand them
@@ -355,6 +359,7 @@ class StreamMonitor:
                 self.wal.append(
                     "events",
                     {"events": [event.to_dict() for event in chunk]})
+            self.events_logged += len(chunk)
             self._buffer.extend(chunk)
             if len(self._buffer) >= self.stride:
                 # Unbuffer before applying: a window whose scoring raises

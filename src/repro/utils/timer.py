@@ -1,7 +1,8 @@
 """Wall-clock timing helpers.
 
-* :class:`Timer` — accumulates named wall-clock spans (per-epoch and
-  scoring time of a fit, reported by the Fig. 7 reproduction);
+* :class:`Timer` — accumulates named wall-clock spans (UMGAD times its
+  fit-time scoring pass with one; per-epoch times live in the training
+  engine's ``TrainState``);
 * :func:`median_mad` — the robust (median, MAD) summary ``perfbench``
   reports its samples with.
 """
@@ -39,8 +40,8 @@ def median_mad(values: Sequence[float]) -> Tuple[float, float]:
 
 @dataclass
 class Timer:
-    """Accumulates named wall-clock spans; used to report per-epoch and
-    total runtimes in the Fig. 7 reproduction."""
+    """Accumulates named wall-clock spans (``UMGAD.timer`` records its
+    fit-time ``"scoring"`` pass)."""
 
     spans: Dict[str, List[float]] = field(default_factory=dict)
 

@@ -39,7 +39,8 @@ class TestFitContract:
         assert last < first
 
     def test_timer_tracks_epochs(self, fitted_umgad):
-        assert fitted_umgad.timer.count("epoch") == fitted_umgad.config.epochs
+        assert len(fitted_umgad.train_state.epoch_seconds) == \
+            fitted_umgad.config.epochs
         assert fitted_umgad.timer.total("scoring") > 0
 
     def test_relation_importance(self, fitted_umgad, tiny_dataset):

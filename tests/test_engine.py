@@ -7,9 +7,9 @@ The load-bearing guarantees:
   UMGAD and one baseline per family;
 * ``SubgraphBatches`` is deterministic per seed and actually trains on
   node-induced sub-multiplexes;
-* callbacks (early stopping, grad clip, LR schedule) behave like the
-  historical inline implementations they replaced;
-* serving refits report engine telemetry.
+* callbacks (early stopping, grad clip) behave like the historical
+  inline implementations they replaced;
+* serving refits report engine telemetry, read from ``train_state``.
 """
 
 import json
@@ -28,7 +28,6 @@ from repro.engine import (
     FullGraphBatches,
     GradClip,
     GraphBatch,
-    LRSchedule,
     SubgraphBatches,
     Trainer,
     TrainState,
@@ -200,10 +199,10 @@ class TestTrainer:
     def _trainer(self, model, lr=0.1, **kwargs):
         return Trainer(model, Adam(model.parameters(), lr=lr), **kwargs)
 
-    def test_zero_arg_loss_fn_and_history(self):
+    def test_loss_fn_history(self):
         model = _Quadratic()
         state = self._trainer(model).fit(
-            None, lambda: (model.w * model.w).sum(), epochs=5)
+            None, lambda batch: (model.w * model.w).sum(), epochs=5)
         assert len(state.loss_history) == 5
         assert state.loss_history[-1] < state.loss_history[0]
         assert state.batch_counts == [1] * 5
@@ -230,20 +229,10 @@ class TestTrainer:
         with pytest.raises(ValueError, match="graph"):
             trainer.fit(None, lambda b: (model.w * model.w).sum(), epochs=1)
 
-    def test_minibatch_rejects_zero_arg_loss_fn(self, rng):
-        # A zero-arg closure captured the full graph: running it under a
-        # subgraph strategy would silently train full-batch.
-        graph = random_multiplex(30, 2, 4, rng, avg_degree=3.0)
-        model = _Quadratic()
-        trainer = self._trainer(model,
-                                batch_strategy=SubgraphBatches(batch_size=8))
-        with pytest.raises(ValueError, match="batch-aware"):
-            trainer.fit(graph, lambda: (model.w * model.w).sum(), epochs=1)
-
     def test_loss_components_recorded(self):
         model = _Quadratic()
 
-        def loss_fn():
+        def loss_fn(batch):
             loss = (model.w * model.w).sum()
             return loss, {"l2": float(loss.data)}
 
@@ -259,7 +248,7 @@ class TestTrainer:
         # same schedule the historical UMGAD.fit loop produced.
         state = self._trainer(model, callbacks=[
             EarlyStopping(patience=3, min_delta=1e-3)
-        ]).fit(None, lambda: Tensor(1.0), epochs=50)
+        ]).fit(None, lambda batch: Tensor(1.0), epochs=50)
         assert state.epochs_run == 4
         assert state.stop
         assert "early stop" in state.stop_reason
@@ -268,7 +257,7 @@ class TestTrainer:
         model = _Quadratic()
         huge = 1e6
 
-        def loss_fn():
+        def loss_fn(batch):
             return (model.w * model.w).sum() * huge
 
         before = model.w.data.copy()
@@ -279,19 +268,10 @@ class TestTrainer:
         assert float(np.sqrt((model.w.grad ** 2).sum())) <= 1.0 + 1e-9
         assert not np.array_equal(before, model.w.data)
 
-    def test_lr_schedule_sets_optimizer_lr(self):
-        model = _Quadratic()
-        optimizer = Adam(model.parameters(), lr=0.5)
-        trainer = Trainer(model, optimizer, callbacks=[
-            LRSchedule(lambda epoch, base: base * (0.1 ** epoch))
-        ])
-        trainer.fit(None, lambda: (model.w * model.w).sum(), epochs=3)
-        assert optimizer.lr == pytest.approx(0.5 * 0.01)
-
     def test_state_to_dict_is_jsonable(self):
         model = _Quadratic()
         state = self._trainer(model).fit(
-            None, lambda: (model.w * model.w).sum(), epochs=2)
+            None, lambda batch: (model.w * model.w).sum(), epochs=2)
         payload = json.loads(json.dumps(state.to_dict()))
         assert payload["epochs_run"] == 2
         assert payload["batches"] == 2
@@ -344,6 +324,20 @@ class TestServingRefitTelemetry:
         assert refit_alerts[0].seconds > 0.0
         assert alert_dict(refit_alerts[0])["kind"] == "refit"
 
+    def test_detector_without_train_state_reports_no_training(self, rng):
+        from repro.serve import DetectorService
+
+        graph = random_multiplex(40, 2, 6, rng, avg_degree=3.0)
+        radar = make_baseline("Radar", seed=0).fit(graph)
+        assert radar.train_state is None
+        assert radar.loss_history == []
+        assert radar.loss_components == []
+        service = DetectorService(UMGAD(UMGADConfig(epochs=2, seed=0)).fit(graph))
+        assert service.replace_detector(radar) == (0, 0.0)
+        assert service.stats.refits == 1
+        assert service.stats.refit_epochs == 0
+        assert service.stats.refit_seconds == 0.0
+
 
 # ---------------------------------------------------------------------------
 # dtype plumbing (--dtype satellite)
@@ -364,6 +358,45 @@ class TestDtype:
         model = UMGAD(UMGADConfig(epochs=2, seed=0)).fit(graph)
         assert all(v.dtype == np.float32
                    for v in model.state_dict().values())
+
+    def test_float32_subgraph_fit_builds_canonical_csr(self, monkeypatch):
+        # Every propagator a float32 minibatch fit assembles is canonical
+        # CSR (sorted rows, no duplicates) with finite float32 data; spmm's
+        # debug mode rejects any non-CSR operator along the way.
+        from repro.autograd import sparse as sparse_mod
+        from repro.graphs import RelationGraph
+
+        monkeypatch.setattr(sparse_mod, "DEBUG_ASSERT_CSR", True)
+        built = []
+        original = RelationGraph.sym_propagator
+
+        def audited(self, add_self_loops=True, dtype=None):
+            cached = len(self._sym_prop)
+            prop = original(self, add_self_loops, dtype)
+            if len(self._sym_prop) > cached:
+                built.append(prop)
+            return prop
+
+        monkeypatch.setattr(RelationGraph, "sym_propagator", audited)
+        set_default_dtype("float32")
+        graph = random_multiplex(60, 2, 8, np.random.default_rng(0),
+                                 avg_degree=3.0)
+        model = UMGAD(UMGADConfig(epochs=2, seed=0, batch="subgraph",
+                                  batch_size=24,
+                                  batches_per_epoch=2)).fit(graph)
+        assert model.train_state.batch_counts == [2, 2]
+        assert np.isfinite(model.decision_scores()).all()
+        assert built
+        for prop in built:
+            assert prop.format == "csr" and prop.dtype == np.float32
+            assert np.isfinite(prop.data).all()
+            assert prop.has_canonical_format
+            canon = prop.copy()
+            canon.has_canonical_format = False
+            canon.sum_duplicates()
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(canon, name),
+                                              getattr(prop, name))
 
     def test_checkpoint_roundtrip_preserves_dtype(self, tmp_path):
         set_default_dtype("float32")

@@ -491,3 +491,28 @@ class TestTwoLanePass:
         assert is_grad_enabled()
         assert not any(t.name == "umgad-structure-lane"
                        for t in threading.enumerate())
+
+
+class TestFiniteInputFiniteScores:
+    """Finite attributes give finite scores in both pass dtypes: the
+    residual and row-norm reductions run in float64, so a float32 pass
+    neither overflows to NaN nor silently flattens a term to zero."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return random_multiplex(60, 2, 8, np.random.default_rng(0),
+                                avg_degree=3.0)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_magnitude_sweep_raises_no_float_error(self, graph, metric,
+                                                   mode):
+        model = UMGAD(UMGADConfig(epochs=3, seed=0, attr_score_metric=metric,
+                                  structure_score_mode=mode)).fit(graph)
+        # every power of ten whose scaled attributes stay finite in float32
+        for exponent in range(-30, 38):
+            scaled = graph.with_features(graph.x * 10.0 ** exponent)
+            for dtype in (np.float32, np.float64):
+                with np.errstate(over="raise", invalid="raise"):
+                    scores = model.score_graph(scaled, dtype=dtype)
+                assert np.isfinite(scores).all(), (exponent, dtype)

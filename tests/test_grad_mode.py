@@ -565,12 +565,16 @@ class TestImputeGroupedParity:
 def _reference_structure_errors(decoded, graph, rng, negatives_per_node=20):
     """The legacy one-shot sampled estimator: ``(E, f)`` and ``(n, q, f)``
     gathers, ``einsum`` contractions, ``np.add.at`` scatter and a clamped
-    sigmoid. It draws the same negatives as the production kernel."""
+    sigmoid. It draws the same negatives as the production kernel, and
+    scales rows to unit norm as the kernel does: norm and division in
+    float64, the unit rows back in the input dtype."""
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
     n = graph.num_nodes
-    z = decoded / (np.linalg.norm(decoded, axis=1, keepdims=True) + 1e-12)
+    wide = decoded.astype(np.float64)
+    z = (wide / (np.linalg.norm(wide, axis=1, keepdims=True) + 1e-12)
+         ).astype(decoded.dtype)
     adj = graph.adjacency()
     pos_err = np.zeros(n, dtype=np.float64)
     deg = np.zeros(n, dtype=np.float64)

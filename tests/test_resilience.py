@@ -40,6 +40,7 @@ from repro.server import (
     CircuitBreaker,
     DeadlineExceeded,
     Gateway,
+    GatewayError,
     MicroBatcher,
     ServerClient,
     ServerClientError,
@@ -444,6 +445,37 @@ class TestFailedHotSwap:
                     # fault cleared: the same activate now succeeds
                     assert client.activate("next")["activated"] == "next"
                     assert gateway.active_model == "next"
+        finally:
+            gateway.close()
+
+    def test_open_breaker_after_swap_never_serves_old_model(self, tmp_path,
+                                                            rng):
+        """Stale scores belong to the model that computed them: after a
+        hot swap, an open breaker answers 503 instead of the old model's
+        scores for a graph the new model cannot score at all."""
+        from repro.core import UMGAD, UMGADConfig
+
+        registry = ModelRegistry(tmp_path / "models")
+        graph_a = random_multiplex(30, 2, 8, rng, avg_degree=3.0)
+        graph_b = random_multiplex(30, 2, 6, rng, avg_degree=3.0)
+        registry.save("a", UMGAD(UMGADConfig(epochs=2, seed=0)).fit(graph_a),
+                      graph=graph_a)
+        registry.save("b", UMGAD(UMGADConfig(epochs=2, seed=0)).fit(graph_b),
+                      graph=graph_b)
+        service = DetectorService(registry.path("a"), match_dtype=False)
+        gateway = Gateway(service, registry=registry, active_model="a",
+                          linger_ms=0.0)
+        try:
+            payload = {"graph": graph_payload(
+                random_multiplex(20, 2, 8, rng, avg_degree=3.0))}
+            assert "degraded" not in gateway.score(payload)
+            gateway.activate("b")
+            statuses = []
+            for _ in range(4):
+                with pytest.raises(GatewayError) as err:
+                    gateway.score(payload)
+                statuses.append(err.value.status)
+            assert statuses == [409, 409, 409, 503]
         finally:
             gateway.close()
 

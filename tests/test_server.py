@@ -654,6 +654,48 @@ class TestNonFiniteValues:
         assert "error" in json.loads(raw, parse_constant=reject)
 
 
+class TestPartialEventBatch:
+    def test_failed_window_reports_accepted_events(self, counting_service,
+                                                   tmp_path, rng):
+        """A batch whose first window fails keeps the events logged up
+        to and including the failed window; the error says how many, and
+        resending the rest leaves the stream as if sent once."""
+        from repro import chaos
+        from repro.stream import (AddEdge, AddNode, UpdateAttr,
+                                  WriteAheadLog, recover_builder)
+
+        graph = random_multiplex(30, 2, 4, rng, avg_degree=3.0)
+        rel = graph.relation_names[0]
+        events = [AddNode(rng.normal(size=4)), AddNode(rng.normal(size=4)),
+                  AddEdge(rel, 0, 30), AddEdge(rel, 1, 31),
+                  AddEdge(rel, 2, 3), AddEdge(rel, 4, 5),
+                  UpdateAttr(6, rng.normal(size=4)), AddEdge(rel, 7, 8)]
+        gateway = Gateway(counting_service, linger_ms=0.0, base_graph=graph,
+                          window=4, wal_dir=tmp_path / "wal",
+                          wal_fsync=False)
+        with ServerThread(gateway) as server, \
+                ServerClient(port=server.port) as client:
+            chaos.configure("service.score", count=1)
+            try:
+                with pytest.raises(ServerClientError) as excinfo:
+                    client.events(events)
+            finally:
+                chaos.reset()
+            assert excinfo.value.status == 500
+            accepted = excinfo.value.body["accepted"]
+            assert accepted == 4
+            assert client.events(events[accepted:])["accepted"] == 4
+            monitor = gateway.monitor
+            assert monitor.builder.num_nodes == 32
+            assert monitor.events_consumed == 8
+            live = monitor.builder.fingerprint()
+        wal = WriteAheadLog(tmp_path / "wal", fsync=False)
+        try:
+            assert recover_builder(wal).builder.fingerprint() == live
+        finally:
+            wal.close()
+
+
 class TestGatewayWithoutExtras:
     def test_no_registry_is_409(self, counting_service):
         gateway = Gateway(counting_service)
