@@ -7,8 +7,8 @@ unexercised. This module plants named **fault points** at those sites so
 tests (and operators reproducing an incident) can trigger the failure
 *deterministically*: a fault fires an exact number of times, optionally
 only for requests matching a key (e.g. one graph fingerprint), and then
-disarms, so "fail twice then recover" scenarios — the shape every retry,
-watchdog and circuit-breaker test needs — are a one-line setup.
+disarms, so "fail twice then recover" scenarios — the shape every retry
+and circuit-breaker test needs — are a one-line setup.
 
 Instrumented sites (grep for :func:`fail_point`)::
 
@@ -17,7 +17,6 @@ Instrumented sites (grep for :func:`fail_point`)::
     gateway.score       Gateway.score entry (stage latency)
     http.reset          HTTP handler (connection reset, no response)
     pool.dispatch       ProcessPool.score before sending to a worker
-    pool.worker         pool worker process before scoring a batch
 
 Faults are configured programmatically (:func:`configure`) or from the
 environment at import time::

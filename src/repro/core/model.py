@@ -48,7 +48,7 @@ from ..engine import (
     make_batch_strategy,
 )
 from ..graphs.masking import attribute_mask, attribute_swap, edge_mask, subgraph_mask
-from ..graphs.multiplex import MultiplexGraph
+from ..graphs.multiplex import MultiplexGraph, check_attributes
 from ..nn import Adam, Module, ModuleList, Parameter, init
 from ..obs.trace import span
 from ..utils.blas import single_threaded_blas
@@ -681,6 +681,10 @@ class UMGAD(BaseDetector):
         ``dtype=np.float64`` reproduces the precision :meth:`fit` scores
         at. Scores come back float64 either way (min–max normalisation
         runs in float64).
+
+        Raises ``ValueError`` naming the row and column of the first
+        attribute that is non-finite or that the cast to ``dtype`` would
+        overflow (:func:`~repro.graphs.multiplex.check_attributes`).
         """
         if self.networks is None:
             raise RuntimeError("fit() or load a checkpoint before scoring")
@@ -694,6 +698,7 @@ class UMGAD(BaseDetector):
             raise ValueError(
                 f"graph has {graph.num_relations} relations, model was "
                 f"trained with {len(self._relation_names)}")
+        check_attributes(graph.x, dtype)
         nets = self._inference_networks(dtype)
         rng = ensure_rng(self.config.seed if seed is None else seed)
         return self._compute_scores(graph, graph.x.astype(dtype, copy=False),

@@ -10,7 +10,7 @@ from .masking import (
     edge_mask,
     subgraph_mask,
 )
-from .multiplex import MultiplexGraph
+from .multiplex import MultiplexGraph, check_attributes
 from .sampling import (
     edges_touching,
     edges_within,
@@ -44,6 +44,7 @@ __all__ = [
     "attribute_swap",
     "behavior_multiplex",
     "canonical_edges",
+    "check_attributes",
     "edge_mask",
     "edges_touching",
     "edges_within",

@@ -7,6 +7,7 @@ edge set ``E_r``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -14,6 +15,42 @@ import numpy as np
 
 from ..autograd.tensor import get_default_dtype
 from .graph import RelationGraph
+
+
+def check_attributes(x: np.ndarray, dtype=np.float32) -> None:
+    """Raise ``ValueError`` at the first attribute a ``dtype`` pass cannot
+    score: NaN, infinite, or so large that casting it to ``dtype`` gives
+    ``inf``, which turns every score of the graph into NaN. The message
+    names the value, its row (for a matrix) and its column.
+
+    The float32 default is the serving pass's precision; ``np.float64``
+    rejects only non-finite values.
+    """
+    if x.size == 0:
+        return
+    edge = _overflow_edge(dtype)
+    if -edge < x.min() and x.max() < edge:  # NaN fails both comparisons
+        return
+    index = tuple(int(i) for i in np.argwhere(~(np.abs(x) < edge))[0])
+    value = float(x[index])
+    where = (f"row {index[0]}, column {index[1]}" if len(index) == 2
+             else f"column {index[-1]}")
+    if np.isfinite(value):
+        info = np.finfo(dtype)
+        raise ValueError(
+            f"out-of-range attribute ({value!r}) at {where}: past "
+            f"{info.dtype.name}'s largest value {float(info.max):.8g}")
+    raise ValueError(f"non-finite attribute ({value}) at {where}")
+
+
+@functools.lru_cache(maxsize=None)
+def _overflow_edge(dtype) -> float:
+    """The smallest magnitude a cast to ``dtype`` rounds to ``inf``: half
+    a unit in the last place past the largest finite value (``inf`` for
+    float64, where that sum itself rounds up)."""
+    info = np.finfo(dtype)
+    ulp = float(info.max) - float(np.nextafter(info.max, info.dtype.type(0)))
+    return float(info.max) + ulp / 2
 
 
 @dataclass

@@ -7,13 +7,14 @@ GIL. This package adds the second tier: N worker processes, each with
 its own copy of the active checkpoint (a few hundred KB for UMGAD's
 networks), so distinct-fingerprint batches score in true parallel.
 
-* :mod:`repro.pool.worker` — the worker-process loop: rebuild the
-  detector from the checkpoint payload through the standard checkpoint
-  path, run ``score_graph`` for batches sent over a pipe. Workers keep
-  no result cache.
+* :mod:`repro.pool.worker` — the worker-process loop: build the
+  detector once from the checkpoint payload it starts with, through the
+  standard checkpoint path, then run ``score_graph`` for batches sent
+  over a pipe. Workers keep no result cache.
 * :mod:`repro.pool.executor` — :class:`ProcessPool`, the leader: idle
-  dispatch, crash rescue + watchdog respawn, per-worker atomic hot
-  swaps, chaos fail points, shutdown report.
+  dispatch, crash rescue by the dispatch that finds a worker dead,
+  hot swaps that restart each worker on the new payload, the
+  ``pool.dispatch`` fail point, shutdown report.
 
 The pool is the ``executor`` of the leader's
 :class:`~repro.serve.service.DetectorService`: the service keeps the one

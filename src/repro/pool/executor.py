@@ -13,16 +13,20 @@ load takes, and dispatches scoring work over per-worker pipes:
   thread tier serializes on the GIL). Workers cache no results: the
   leader's :class:`~repro.serve.service.DetectorService` caches and
   dedups, and dispatches here only the passes it cannot answer.
-* **Hot swap** — ``publish_detector()`` bumps the generation and sends
-  the new payload to each worker under that worker's dispatch lock, so
-  a batch runs wholly on the old weights or wholly on the new ones.
-* **Crash rescue** — a worker that dies mid-batch (EOF/broken pipe/recv
-  timeout) is killed, respawned from the newest payload, and the batch
-  retried a bounded number of times; a watchdog respawns workers that die
-  *idle*.
-* **Chaos** — ``pool.dispatch`` (leader, pre-send) and ``pool.worker``
-  (child, pre-score) fail points let the fault-injection suite exercise
-  both sides of the pipe.
+* **Hot swap** — ``publish_detector()`` bumps the generation, then
+  stops and restarts each worker from the new payload under that
+  worker's dispatch lock, so a batch runs wholly on the old weights or
+  wholly on the new ones.
+* **Crash rescue** — the dispatch that finds a worker dead (EOF/broken
+  pipe/recv timeout), mid-batch or idle, kills it, respawns it from the
+  newest payload and retries the batch a bounded number of times.
+* **Chaos** — the ``pool.dispatch`` fail point (leader, pre-send) lets
+  the fault-injection suite fail a dispatch.
+
+A worker gets its model only when it starts (:meth:`ProcessPool._spawn`):
+at pool start, on a crash respawn, and on a hot-swap restart. A worker
+whose swap restart failed stays down until the next dispatch that picks
+it respawns it from the newest payload.
 
 The pool raises :class:`PoolUnavailable` from ``__init__`` when a worker
 cannot be started; the gateway catches that and falls back to the
@@ -61,10 +65,11 @@ _READY_TIMEOUT = 60.0
 #: the dataset sizes this project serves)
 _SCORE_TIMEOUT = 300.0
 
+#: how long a worker asked to stop may take before it is killed
+_STOP_TIMEOUT = 10.0
+
 #: how many times a batch is retried after a worker crash
 _MAX_RETRIES = 2
-
-_WATCHDOG_INTERVAL = 1.0
 
 
 class PoolUnavailable(RuntimeError):
@@ -163,27 +168,17 @@ class ProcessPool:
             for worker in self._workers:
                 self._spawn(worker)
         except PoolUnavailable:
-            self._abort()
+            for worker in self._workers:
+                self._stop(worker, timeout=0)
             raise
-
-        self._watchdog_stop = threading.Event()
-        self._watchdog = threading.Thread(
-            target=self._watch, name="repro-pool-watchdog", daemon=True)
-        self._watchdog.start()
-
-    def _abort(self) -> None:
-        """Best-effort teardown for a pool that never finished starting."""
-        for worker in self._workers:
-            if worker.process is not None and worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _spawn(self, worker: _Worker) -> None:
-        """(Re)start one worker from the newest checkpoint. Caller must
-        hold ``worker.lock`` when respawning a live slot."""
+        """Start one worker from the newest checkpoint: the only way a
+        worker gets a model. Caller must hold ``worker.lock`` unless the
+        pool is still starting."""
         generation, header, payload = self._checkpoint
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
@@ -218,42 +213,38 @@ class ProcessPool:
         worker.generation = reply[2]
 
     def _respawn(self, worker: _Worker) -> None:
-        """Kill (if needed) and restart a crashed/wedged worker."""
+        """Kill (if needed) and restart a crashed, wedged or down worker."""
         if self._closed:
             raise PoolUnavailable("process pool is closed")
-        if worker.process is not None and worker.process.is_alive():
-            worker.process.kill()
-            worker.process.join(timeout=5.0)
+        self._stop(worker, timeout=0)
+        worker.respawns += 1
+        self.worker_deaths += 1
+        self._spawn(worker)
+
+    @staticmethod
+    def _stop(worker: _Worker, timeout: float) -> bool:
+        """Ask a worker to exit, kill it after ``timeout`` (at once for
+        0), and leave the slot down. Returns whether it exited on its
+        own. Caller holds ``worker.lock``."""
+        stopped = True
+        if worker.conn is not None:
+            try:
+                worker.conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+        if worker.process is not None:
+            worker.process.join(timeout=timeout)
+            if worker.process.is_alive():
+                worker.process.kill()
+                worker.process.join(timeout=5.0)
+                stopped = False
         if worker.conn is not None:
             try:
                 worker.conn.close()
             except OSError:  # pragma: no cover
                 pass
-        worker.respawns += 1
-        self.worker_deaths += 1
-        self._spawn(worker)
-
-    def _watch(self) -> None:
-        """Respawn workers that die while idle (OOM kill, stray signal)."""
-        while not self._watchdog_stop.wait(_WATCHDOG_INTERVAL):
-            for worker in self._workers:
-                if self._closed:
-                    return
-                if worker.alive:
-                    continue
-                # A dispatcher holding the lock is already handling this
-                # death; only the watchdog path needs to volunteer.
-                if worker.lock.acquire(blocking=False):
-                    try:
-                        if not worker.alive and not self._closed:
-                            try:
-                                self._respawn(worker)
-                            except PoolUnavailable:
-                                # Spawning will be retried next tick; the
-                                # dispatcher path surfaces hard failures.
-                                pass
-                    finally:
-                        worker.lock.release()
+        worker.process = worker.conn = None
+        return stopped
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -285,6 +276,8 @@ class ProcessPool:
         for attempt in range(_MAX_RETRIES + 1):
             worker = self._acquire()
             try:
+                if worker.conn is None:  # down: its last start failed
+                    self._respawn(worker)
                 with span("pool.dispatch") as sp:
                     sp.set("pool.worker", worker.worker_id)
                     sp.set("pool.generation", worker.generation)
@@ -293,8 +286,7 @@ class ProcessPool:
                         self.dispatches += 1
                         request_id = f"{fingerprint[:12]}:{self.dispatches}"
                     try:
-                        worker.conn.send(
-                            ("score", request_id, payload, fingerprint))
+                        worker.conn.send(("score", request_id, payload))
                         if not worker.conn.poll(_SCORE_TIMEOUT):
                             raise TimeoutError(
                                 f"worker {worker.worker_id} exceeded "
@@ -328,11 +320,15 @@ class ProcessPool:
     # Hot swap
     # ------------------------------------------------------------------
     def publish_detector(self, detector) -> int:
-        """Make ``detector`` the next generation and reload every worker.
+        """Make ``detector`` the next generation and restart every worker
+        on it.
 
-        Atomic per worker: each reload happens under that worker's
+        Atomic per worker: each restart happens under that worker's
         dispatch lock, so a batch either runs wholly on the old weights
-        or wholly on the new ones. Returns the new generation id.
+        or wholly on the new ones. A restart is not a death: it counts in
+        neither ``worker_deaths`` nor ``respawns``. A worker whose restart
+        fails stays down; the next dispatch that picks it respawns it
+        from the newest payload. Returns the new generation id.
         """
         if self._closed:
             raise PoolUnavailable("process pool is closed")
@@ -343,27 +339,11 @@ class ProcessPool:
         failures: List[str] = []
         for worker in self._workers:
             with worker.lock:
+                self._stop(worker, _STOP_TIMEOUT)
                 try:
-                    worker.conn.send(("reload", generation, header, payload))
-                    if not worker.conn.poll(_READY_TIMEOUT):
-                        raise TimeoutError("reload timed out")
-                    reply = worker.conn.recv()
-                except (BrokenPipeError, EOFError, OSError,
-                        TimeoutError) as exc:
-                    # A respawn starts from the *new* payload — the swap
-                    # still converges.
-                    try:
-                        self._respawn(worker)
-                    except PoolUnavailable as spawn_exc:
-                        failures.append(
-                            f"worker {worker.worker_id}: {exc} "
-                            f"(respawn failed: {spawn_exc})")
-                    continue
-                if reply[0] == "reloaded":
-                    worker.generation = reply[2]
-                else:
-                    failures.append(
-                        f"worker {worker.worker_id}: {reply[2]}: {reply[3]}")
+                    self._spawn(worker)
+                except PoolUnavailable as exc:
+                    failures.append(str(exc))
         if failures:
             raise PoolUnavailable(
                 "hot swap incomplete: " + "; ".join(failures))
@@ -421,25 +401,10 @@ class ProcessPool:
                 families.append(family(name, kind, help_text, series))
         return Collected(families, {**stats, "worker_infos": infos})
 
-    def ping(self) -> List[dict]:
-        """Round-trip every worker's pipe; returns their pong payloads."""
-        pongs = []
-        for worker in self._workers:
-            with worker.lock:
-                try:
-                    worker.conn.send(("ping", "ping"))
-                    if worker.conn.poll(5.0):
-                        reply = worker.conn.recv()
-                        if reply[0] == "pong":
-                            pongs.append(reply[2])
-                except (BrokenPipeError, EOFError, OSError):
-                    continue
-        return pongs
-
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
-    def close(self, timeout: float = 10.0) -> dict:
+    def close(self, timeout: float = _STOP_TIMEOUT) -> dict:
         """Stop workers, report what did not die cleanly.
 
         Returns ``{"workers_stopped", "workers_killed"}`` — the caller
@@ -450,31 +415,16 @@ class ProcessPool:
             if self._closed:
                 return {"workers_stopped": 0, "workers_killed": 0}
             self._closed = True
-        self._watchdog_stop.set()
-        self._watchdog.join(timeout=5.0)
         stopped = killed = 0
         deadline = time.monotonic() + timeout
         for worker in self._workers:
             with worker.lock:
-                if worker.conn is not None:
-                    try:
-                        worker.conn.send(("stop",))
-                    except (BrokenPipeError, OSError):
-                        pass
-                if worker.process is not None:
-                    worker.process.join(
-                        timeout=max(0.1, deadline - time.monotonic()))
-                    if worker.process.is_alive():
-                        worker.process.kill()
-                        worker.process.join(timeout=5.0)
-                        killed += 1
-                    else:
-                        stopped += 1
-                if worker.conn is not None:
-                    try:
-                        worker.conn.close()
-                    except OSError:  # pragma: no cover
-                        pass
+                if worker.process is None:  # down after a failed restart
+                    continue
+                if self._stop(worker, max(0.1, deadline - time.monotonic())):
+                    stopped += 1
+                else:
+                    killed += 1
         return {"workers_stopped": stopped, "workers_killed": killed}
 
 

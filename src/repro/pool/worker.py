@@ -10,14 +10,13 @@ takes, then loops on its pipe. It keeps no result cache: the leader's
 the trained graph from stored scores, and dispatches only the passes it
 cannot answer.
 
-* ``("score", req_id, graph_payload, fingerprint)`` → runs the
+* ``("score", req_id, graph_payload)`` → runs the
   detector's ``score_graph`` on the graph, the same pass the thread tier
   runs (bitwise parity), and replies ``("ok", req_id, scores, telemetry)``.
-* ``("reload", generation, header, payload)`` → builds the new
-  generation's detector and swaps to it (hot swap); a failed load keeps
-  the old one.
-* ``("ping", req_id)`` → liveness telemetry.
 * ``("stop",)`` → clean exit.
+
+Those are the only two pipe ops. A worker never changes model: a hot
+swap stops it and the leader starts a new one from the new payload.
 
 Errors never kill the loop: scoring failures are serialized back as
 ``("err", req_id, kind, message)`` and re-raised leader-side as the
@@ -36,7 +35,6 @@ import os
 import signal
 import time
 
-from .. import chaos
 from ..graphs.graph import RelationGraph
 from ..graphs.multiplex import MultiplexGraph
 from ..serve.checkpoint import CheckpointError, detector_from_payload
@@ -50,7 +48,6 @@ _TYPED_ERRORS = {
     "ValueError": ValueError,
     "KeyError": KeyError,
     "IndexError": IndexError,
-    "ChaosError": chaos.ChaosError,
 }
 
 
@@ -92,7 +89,6 @@ def worker_main(conn, worker_id: int, generation: int, header: dict,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    requests = 0
     try:
         detector = detector_from_payload(header, payload,
                                          source=f"pool:gen{generation}")
@@ -104,50 +100,21 @@ def worker_main(conn, worker_id: int, generation: int, header: dict,
                 # Leader went away without a stop message (crash); there
                 # is nobody left to serve.
                 break
-            op = message[0]
-            if op == "stop":
+            if message[0] == "stop":
                 break
-            if op == "score":
-                _req, req_id, graph_payload, fingerprint = message
-                started = time.perf_counter()
-                try:
-                    chaos.fail_point("pool.worker", key=fingerprint)
-                    graph = decode_graph(graph_payload)
-                    scores = detector.score_graph(graph)
-                except BaseException as exc:  # noqa: BLE001 - serialized
-                    conn.send(("err", req_id, type(exc).__name__, str(exc)))
-                else:
-                    requests += 1
-                    conn.send(("ok", req_id, scores, {
-                        "worker": worker_id,
-                        "generation": generation,
-                        "wall_ms": (time.perf_counter() - started) * 1e3,
-                    }))
-            elif op == "reload":
-                _req, new_generation, header, payload = message
-                try:
-                    detector = detector_from_payload(
-                        header, payload, source=f"pool:gen{new_generation}")
-                except BaseException as exc:  # noqa: BLE001 - serialized
-                    # Keep serving the old generation — a failed hot-swap
-                    # must leave the worker usable, mirroring the
-                    # gateway's activate() contract.
-                    conn.send(("err", "reload", type(exc).__name__,
-                               str(exc)))
-                else:
-                    generation = new_generation
-                    conn.send(("reloaded", worker_id, generation))
-            elif op == "ping":
-                _req, req_id = message
-                conn.send(("pong", req_id, {
-                    "worker": worker_id,
-                    "pid": os.getpid(),
-                    "generation": generation,
-                    "requests": requests,
-                }))
+            _op, req_id, graph_payload = message
+            started = time.perf_counter()
+            try:
+                graph = decode_graph(graph_payload)
+                scores = detector.score_graph(graph)
+            except BaseException as exc:  # noqa: BLE001 - serialized
+                conn.send(("err", req_id, type(exc).__name__, str(exc)))
             else:
-                conn.send(("err", None, "ProtocolError",
-                           f"unknown worker op {op!r}"))
+                conn.send(("ok", req_id, scores, {
+                    "worker": worker_id,
+                    "generation": generation,
+                    "wall_ms": (time.perf_counter() - started) * 1e3,
+                }))
     except BaseException:  # noqa: BLE001 - last-resort: die visibly
         pass
     finally:

@@ -509,15 +509,16 @@ class Gateway:
             # Retarget the scoring processes *before* the service swaps:
             # a pass dispatched after the service's generation bump then
             # cannot run on the old weights and be cached as the new
-            # model's. Each worker reloads under its dispatch lock, so a
+            # model's. Each worker restarts under its dispatch lock, so a
             # batch in flight finishes on the weights it started with.
             try:
                 pool_reply["pool_generation"] = \
                     self.pool.publish_detector(detector)
             except Exception as exc:  # noqa: BLE001 - degraded, not fatal
-                # A worker that missed the reload is respawned from the
-                # new payload by the pool itself. Surface the partial swap
-                # instead of failing the activation.
+                # A worker whose restart failed stays down until the next
+                # dispatch that picks it respawns it from the new payload.
+                # Surface the partial swap instead of failing the
+                # activation.
                 pool_reply["pool_error"] = str(exc)
         epochs, seconds = self.service.replace_detector(detector)
         self.active_model = name

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..graphs.io import from_edge_dict
-from ..graphs.multiplex import MultiplexGraph
+from ..graphs.multiplex import MultiplexGraph, check_attributes
 
 
 class ProtocolError(ValueError):
@@ -52,13 +52,10 @@ def graph_from_payload(payload: dict) -> MultiplexGraph:
     if attrs.ndim != 2 or attrs.shape[0] < 1:
         raise ProtocolError(
             f"'x' must be a non-empty 2-D matrix, got shape {attrs.shape}")
-    finite = np.isfinite(attrs)
-    if not finite.all():
-        # One NaN attribute turns every score into NaN, so reject it here.
-        row, col = (int(i) for i in np.argwhere(~finite)[0])
-        raise ProtocolError(
-            f"'x' has a non-finite value ({float(attrs[row, col])}) at row "
-            f"{row}, column {col}")
+    try:
+        check_attributes(attrs)
+    except ValueError as exc:
+        raise ProtocolError(f"'x': {exc}") from None
     num_nodes = attrs.shape[0]
     edge_dict: Dict[str, np.ndarray] = {}
     for name, edges in relations.items():

@@ -18,9 +18,10 @@ Event semantics (enforced by :class:`repro.stream.IncrementalGraphBuilder`):
   node's id is the current node count.
 * :class:`UpdateAttr` — overwrites one node's attribute vector.
 
-An attribute vector must be finite: ``AddNode`` and ``UpdateAttr`` reject a
-NaN or infinite entry at construction, naming its column, because one
-non-finite attribute turns every score of the graph into NaN.
+An attribute vector must be scoreable: ``AddNode`` and ``UpdateAttr``
+reject a NaN or infinite entry, or one past float32's range (the serving
+pass's precision), at construction, naming its column, because one such
+attribute turns every score of the graph into NaN.
 
 JSONL round-trips are exact: floats are serialised via ``repr`` (Python's
 ``json``), which reconstructs the same float64 bit pattern, so a replayed
@@ -35,7 +36,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 import numpy as np
 
-from ..graphs.multiplex import MultiplexGraph
+from ..graphs.multiplex import MultiplexGraph, check_attributes
 from ..utils.rng import ensure_rng
 
 
@@ -49,13 +50,10 @@ def _canonical_endpoints(u: int, v: int) -> Tuple[int, int]:
 
 
 def _finite_attrs(x) -> np.ndarray:
-    """``x`` as a flat float64 vector, rejecting NaN and infinite entries."""
+    """``x`` as a flat float64 vector, rejecting entries a float32 pass
+    cannot score (:func:`~repro.graphs.multiplex.check_attributes`)."""
     attrs = np.asarray(x, dtype=np.float64).ravel()
-    finite = np.isfinite(attrs)
-    if not finite.all():
-        col = int(np.argmin(finite))
-        raise ValueError(
-            f"'x' has a non-finite value ({attrs[col]}) at column {col}")
+    check_attributes(attrs)
     return attrs
 
 

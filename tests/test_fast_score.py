@@ -516,3 +516,21 @@ class TestFiniteInputFiniteScores:
                 with np.errstate(over="raise", invalid="raise"):
                     scores = model.score_graph(scaled, dtype=dtype)
                 assert np.isfinite(scores).all(), (exponent, dtype)
+
+
+class TestAttributesPastPassRange:
+    """An attribute the float32 cast turns into ``inf`` would give every
+    node a NaN score; ``score_graph`` refuses it, naming where it is."""
+
+    def test_float32_overflow_raises_naming_row_and_column(self):
+        graph = random_multiplex(60, 2, 8, np.random.default_rng(0),
+                                 avg_degree=3.0)
+        model = UMGAD(UMGADConfig(epochs=3, seed=0)).fit(graph)
+        scaled = graph.with_features(graph.x * 1e38)
+        row, col = np.argwhere(
+            np.abs(scaled.x) > np.finfo(np.float32).max)[0]
+        with pytest.raises(ValueError,
+                           match=rf"row {row}, column {col}\b.*float32"):
+            model.score_graph(scaled)
+        # the float64 pass casts nothing and still scores this graph
+        assert np.isfinite(model.score_graph(scaled, dtype=np.float64)).all()

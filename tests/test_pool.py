@@ -3,19 +3,20 @@
 The contracts under test:
 
 * :class:`repro.pool.ProcessPool` — bitwise parity with the thread tier,
-  SIGKILLed workers are respawned (from the newest checkpoint) with zero
-  requests lost, a batch goes to an idle worker, a hot swap retargets
-  every worker, shutdown reports what did not die cleanly.
+  SIGKILLed workers are respawned (from the newest checkpoint) by the
+  dispatch that finds them dead with zero requests lost, a batch goes to
+  an idle worker, a hot swap restarts every worker on the new model,
+  shutdown reports what did not die cleanly.
 * Gateway integration — ``exec_tier="process"`` end to end: HTTP parity,
-  ``pool_*`` metrics, deep health, activate hot-swap, automatic thread
-  fallback when the workers cannot be started.
+  ``pool_*`` metrics, deep health, crash rescue under a live server,
+  activate hot-swap, automatic thread fallback when the workers cannot
+  be started, no thread beyond the batcher's.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
-import time
-import zlib
 
 import numpy as np
 import pytest
@@ -68,19 +69,24 @@ class TestProcessPool:
                   for info in pool.worker_infos()}
         for info in pool.worker_infos():
             os.kill(info["pid"], signal.SIGKILL)
-        # The dispatch path (or the watchdog) must respawn and answer.
+        # the dispatch that picks a dead worker respawns it and answers
         got = pool.score(graph, fingerprint)
         np.testing.assert_array_equal(got, expected)
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            infos = pool.worker_infos()
-            if all(info["alive"] for info in infos):
-                break
-            time.sleep(0.05)
+        assert pool.stats()["worker_deaths"] == 1
+        # with worker 0 busy, the next dispatch picks dead worker 1,
+        # revives it and is answered there
+        busy = pool._workers[0].lock
+        busy.acquire()
+        try:
+            got = pool.score(graph, fingerprint)
+        finally:
+            busy.release()
+        np.testing.assert_array_equal(got, expected)
         infos = {info["worker"]: info for info in pool.worker_infos()}
         assert all(info["alive"] for info in infos.values())
         assert all(infos[wid]["pid"] != pid for wid, pid in before.items())
-        assert pool.stats()["worker_deaths"] >= 2
+        assert infos[1]["requests"] == 1
+        assert pool.stats()["worker_deaths"] == 2
 
     def test_sigkilled_worker_respawns_on_new_generation(self, pool,
                                                          tiny_dataset):
@@ -108,12 +114,9 @@ class TestProcessPool:
             assert 0 < info["private_bytes"] < resident
 
     def test_busy_worker_is_skipped(self, pool, pool_model):
-        rng = np.random.default_rng(21)
-        while True:  # a graph crc32 would have routed to worker 0
-            graph = random_multiplex(40, 3, 16, rng, avg_degree=4.0)
-            fingerprint = graph_fingerprint(graph)
-            if zlib.crc32(fingerprint.encode()) % pool.size == 0:
-                break
+        graph = random_multiplex(40, 3, 16, np.random.default_rng(21),
+                                 avg_degree=4.0)
+        fingerprint = graph_fingerprint(graph)
         results = []
         busy = pool._workers[0].lock
         busy.acquire()
@@ -145,6 +148,42 @@ class TestProcessPool:
         swapped = pool.score(graph, fingerprint)
         np.testing.assert_array_equal(swapped, replacement.score_graph(graph))
         assert not np.array_equal(swapped, baseline)
+
+    def test_hot_swap_restarts_every_worker(self, pool, tiny_dataset):
+        before = {info["worker"]: info["pid"]
+                  for info in pool.worker_infos()}
+        stats = pool.stats()
+        replacement = UMGAD(UMGADConfig(epochs=2, mask_repeats=1,
+                                        hidden_dim=16, seed=9)
+                            ).fit(tiny_dataset.graph)
+        assert pool.publish_detector(replacement) == 2
+        infos = pool.worker_infos()
+        assert all(info["alive"] and info["generation"] == 2
+                   for info in infos)
+        assert all(info["pid"] != before[info["worker"]] for info in infos)
+        # a swap restart is not a death
+        assert pool.stats()["worker_deaths"] == stats["worker_deaths"]
+        assert [info["respawns"] for info in infos] == [0, 0]
+
+    def test_failed_swap_restart_is_respawned_by_next_dispatch(
+            self, pool, tiny_dataset, monkeypatch):
+        import repro.pool.executor as executor_module
+
+        graph = tiny_dataset.graph
+        replacement = UMGAD(UMGADConfig(epochs=2, mask_repeats=1,
+                                        hidden_dim=16, seed=9)
+                            ).fit(graph)
+        real_main = executor_module.worker_main
+        # every worker dies before its "ready" handshake on the new model
+        monkeypatch.setattr(executor_module, "worker_main",
+                            lambda *args: os._exit(1))
+        with pytest.raises(PoolUnavailable, match="hot swap incomplete"):
+            pool.publish_detector(replacement)
+        assert pool.stats()["workers_alive"] == 0
+        monkeypatch.setattr(executor_module, "worker_main", real_main)
+        got = pool.score(graph, graph_fingerprint(graph))
+        np.testing.assert_array_equal(got, replacement.score_graph(graph))
+        assert pool.worker_infos()[0]["generation"] == 2
 
     def test_worker_error_rebuilt_typed(self, pool):
         # A graph whose feature width disagrees with the model must come
@@ -303,6 +342,46 @@ class TestGatewayProcessTier:
             report = server.stop()
         assert report["pool"]["workers_killed"] == 0
         assert report["batcher"]["leaked_workers"] == []
+
+    def test_killed_workers_rescued_under_live_server(self, gateway,
+                                                      pool_model):
+        from repro.server.app import ServerThread
+        from repro.server.client import ServerClient
+
+        rng = np.random.default_rng(13)
+        fresh = [random_multiplex(40 + i, 3, 16, rng, avg_degree=4.0)
+                 for i in range(3)]
+        with ServerThread(gateway) as server:
+            client = ServerClient(port=server.port)
+            client.score(graph=fresh[0])
+            for info in gateway.pool.worker_infos():
+                os.kill(info["pid"], signal.SIGKILL)
+            for graph in fresh[1:]:
+                got = np.asarray(client.score(graph=graph)["scores"])
+                np.testing.assert_array_equal(
+                    got, pool_model.score_graph(graph))
+            assert gateway.pool.stats()["worker_deaths"] >= 1
+            assert "repro_pool_worker_deaths_total" in client.metrics()
+            client.close()
+            report = server.stop()
+        assert report["pool"]["workers_killed"] == 0
+        left = [child.name for child in multiprocessing.active_children()
+                if child.name.startswith("repro-pool-worker-")]
+        assert left == []
+
+    def test_gateway_starts_only_batcher_threads(self, pool_model):
+        from repro.server import Gateway
+
+        before = set(threading.enumerate())
+        service = DetectorService(pool_model, cache_size=8)
+        gateway = Gateway(service, exec_tier="process", worker_procs=2)
+        try:
+            assert gateway.exec_tier == "process"
+            started = {thread.name for thread in threading.enumerate()
+                       if thread not in before}
+            assert started == {"repro-batcher-0", "repro-batcher-1"}
+        finally:
+            gateway.close()
 
     def test_activate_bumps_pool_generation(self, pool_model, tiny_dataset,
                                             tmp_path):

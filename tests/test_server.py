@@ -601,6 +601,23 @@ class TestNonFiniteValues:
         assert counting_service.detector.calls == 0
         assert counting_service.cache_info()["entries"] == 0
 
+    def test_attribute_past_float32_range_is_400(self, counting_service,
+                                                 rng):
+        graph = random_multiplex(60, 2, 4, rng)
+        scaled = graph.x * 1e38
+        row, col = np.argwhere(np.abs(scaled) > np.finfo(np.float32).max)[0]
+        payload = graph_payload(graph)
+        payload["x"] = scaled.tolist()
+        gateway = Gateway(counting_service, linger_ms=0.0)
+        with ServerThread(gateway) as server, \
+                ServerClient(port=server.port) as client:
+            with pytest.raises(ServerClientError) as excinfo:
+                client._request("POST", "/v1/score", {"graph": payload})
+        assert excinfo.value.status == 400
+        assert f"row {row}, column {col}" in excinfo.value.message
+        assert counting_service.stats.misses == 0
+        assert counting_service.detector.calls == 0
+
     @pytest.mark.parametrize("bad", [
         {"op": "update_attr", "node": 1, "x": [0.0, float("nan"), 0.0, 0.0]},
         {"op": "add_node", "x": [0.0, 0.0, 0.0, float("inf")]},

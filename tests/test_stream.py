@@ -109,6 +109,14 @@ class TestEvents:
         with pytest.raises(ValueError, match="column 1"):
             parse_event({"op": "update_attr", "node": 0, "x": [0.0, bad]})
 
+    def test_attribute_past_float32_range_rejected_at_parse(self):
+        with pytest.raises(ValueError, match="out-of-range .* column 1"):
+            parse_event({"op": "update_attr", "node": 0, "x": [0.0, 1e39]})
+        # float32's largest value itself casts without overflow
+        largest = float(np.finfo(np.float32).max)
+        assert parse_event({"op": "update_attr", "node": 0,
+                            "x": [0.0, largest]}).x[1] == largest
+
     def test_parse_unknown_op(self):
         with pytest.raises(ValueError, match="unknown event op"):
             parse_event({"op": "explode"})
